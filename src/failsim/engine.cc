@@ -1,71 +1,22 @@
 #include "failsim/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
-#include <cstring>
-#include <filesystem>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 #include "bgp/hegemony.h"
 #include "bgp/propagation.h"
 #include "bgp/reachability.h"
-#include "obs/campaign.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sweep/chunked.h"
 #include "sweep/fingerprint.h"
-#include "sweep/journal.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace flatnet::failsim {
 namespace {
-
-struct FailsimCounters {
-  obs::Counter& chunks_completed = obs::GetCounter("failsim.chunks_completed");
-  obs::Counter& chunks_resumed = obs::GetCounter("failsim.chunks_resumed");
-  obs::Counter& checkpoint_writes = obs::GetCounter("failsim.checkpoint_writes");
-  obs::Counter& trials_evaluated = obs::GetCounter("failsim.trials_evaluated");
-  obs::Gauge& trials_per_sec = obs::GetGauge("failsim.trials_per_sec");
-};
-
-FailsimCounters& Counters() {
-  static FailsimCounters counters;
-  return counters;
-}
-
-std::uint64_t Fnv1aMix(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xff;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-// Journal payload encoding: each double rides as two u32 words (low word
-// first). Per trial the payload holds the collateral loss fraction, the
-// disconnected count, then — when users are weighted — the user loss.
-void EncodeDouble(double value, std::uint32_t* out) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  out[0] = static_cast<std::uint32_t>(bits);
-  out[1] = static_cast<std::uint32_t>(bits >> 32);
-}
-
-double DecodeDouble(const std::uint32_t* in) {
-  std::uint64_t bits = (static_cast<std::uint64_t>(in[1]) << 32) | in[0];
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
 
 // The serial prep product: per-cell baseline reach sets and pre-drawn
 // knockout material, and the prefix sums mapping global trial indices
@@ -321,16 +272,16 @@ std::uint64_t CampaignFingerprint(const Internet& internet,
                                   const std::vector<FailCellSpec>& cells, bool has_users,
                                   double hegemony_trim) {
   std::uint64_t hash = 14695981039346656037ull;
-  hash = Fnv1aMix(hash, sweep::TopologyFingerprint(internet));
-  hash = Fnv1aMix(hash, has_users ? 1 : 0);
-  hash = Fnv1aMix(hash, std::bit_cast<std::uint64_t>(hegemony_trim));
-  hash = Fnv1aMix(hash, cells.size());
+  hash = sweep::Fnv1aMix(hash, sweep::TopologyFingerprint(internet));
+  hash = sweep::Fnv1aMix(hash, has_users ? 1 : 0);
+  hash = sweep::Fnv1aMix(hash, std::bit_cast<std::uint64_t>(hegemony_trim));
+  hash = sweep::Fnv1aMix(hash, cells.size());
   for (const FailCellSpec& spec : cells) {
-    hash = Fnv1aMix(hash, spec.origin);
-    hash = Fnv1aMix(hash, static_cast<std::uint64_t>(spec.scenario));
-    hash = Fnv1aMix(hash, spec.severity);
-    hash = Fnv1aMix(hash, spec.seed);
-    hash = Fnv1aMix(hash, spec.trials);
+    hash = sweep::Fnv1aMix(hash, spec.origin);
+    hash = sweep::Fnv1aMix(hash, static_cast<std::uint64_t>(spec.scenario));
+    hash = sweep::Fnv1aMix(hash, spec.severity);
+    hash = sweep::Fnv1aMix(hash, spec.seed);
+    hash = sweep::Fnv1aMix(hash, spec.trials);
   }
   return hash;
 }
@@ -348,204 +299,67 @@ FailTable RunFailureCampaign(const Internet& internet, const std::vector<FailCel
     throw InvalidArgument("RunFailureCampaign: hegemony_trim must be in [0, 0.5)");
   }
 
-  obs::TraceSpan run_span("failsim.run");
-  Stopwatch stopwatch;
-
   FailTable table;
-  table.fingerprint = sweep::TopologyFingerprint(internet);
   table.has_users = options.users != nullptr;
-  table.campaign_fingerprint =
-      CampaignFingerprint(internet, cells, table.has_users, options.hegemony_trim);
-  PreparedCampaign prep = Prepare(internet, cells, options, table);
-
-  std::size_t words_per_trial = table.has_users ? 6 : 4;
-  std::size_t num_chunks =
-      prep.total_trials == 0
-          ? 0
-          : (prep.total_trials + options.chunk_trials - 1) / options.chunk_trials;
-  std::vector<char> done(num_chunks, 0);
-  std::size_t chunks_resumed = 0;
+  PreparedCampaign prep;
 
   // Reuse the sweep journal: "origins" are global trial indices and each
-  // trial's values are its metrics as u32 word pairs. The fingerprint
-  // slot carries the campaign fingerprint so a resume against a different
-  // topology, cell list, trim, or user-weight flag fails loudly.
-  sweep::SweepMeta meta;
-  meta.fingerprint = table.campaign_fingerprint;
-  meta.num_origins = prep.total_trials;
-  meta.columns = table.has_users ? 0x7 : 0x3;
-  meta.chunk_size = options.chunk_trials;
-
-  // Writes a trial's metrics into its pre-assigned slot; `cell` is the
-  // index of the cell containing global trial `g`.
-  auto slot_write = [&](std::size_t cell, std::size_t g, const TrialOutcome& outcome) {
-    std::size_t local = g - prep.offsets[cell];
-    table.cells[cell].loss_ases[local] = outcome.loss_ases;
-    table.cells[cell].disconnected[local] = outcome.disconnected;
-    if (table.has_users) table.cells[cell].loss_users[local] = outcome.loss_users;
+  // trial's values are its metrics as u32 word pairs — the collateral loss
+  // fraction, the disconnected count, then, when users are weighted, the
+  // user loss. The fingerprint slot carries the campaign fingerprint so a
+  // resume against a different topology, cell list, trim, or user-weight
+  // flag fails loudly.
+  auto prepare = [&] {
+    table.fingerprint = sweep::TopologyFingerprint(internet);
+    table.campaign_fingerprint =
+        CampaignFingerprint(internet, cells, table.has_users, options.hegemony_trim);
+    prep = Prepare(internet, cells, options, table);
+    sweep::SweepMeta meta;
+    meta.fingerprint = table.campaign_fingerprint;
+    meta.num_origins = prep.total_trials;
+    meta.columns = table.has_users ? 0x7 : 0x3;
+    meta.chunk_size = options.chunk_trials;
+    return meta;
   };
-  auto cell_of = [&](std::size_t g) {
-    return static_cast<std::size_t>(
-        std::upper_bound(prep.offsets.begin(), prep.offsets.end(), g) -
-        prep.offsets.begin() - 1);
+  std::size_t words_per_trial = table.has_users ? 6 : 4;
+
+  auto make_evaluator = [&]() -> sweep::ChunkEvaluator {
+    auto workspace = std::make_shared<FailWorkspace>(internet.graph());
+    return [&, workspace](std::size_t begin, std::size_t len, std::uint32_t* payload) {
+      auto run_trial = [&](std::size_t cell, std::size_t local, std::size_t i) {
+        TrialOutcome outcome =
+            EvaluateTrial(internet, prep, table, cell, local, options.users, *workspace);
+        std::uint32_t* at = payload + i * words_per_trial;
+        sweep::EncodeDouble(outcome.loss_ases, at);
+        sweep::EncodeDouble(outcome.disconnected, at + 2);
+        if (table.has_users) sweep::EncodeDouble(outcome.loss_users, at + 4);
+      };
+      sweep::ForEachCellTrial(prep.offsets, begin, len, run_trial);
+    };
   };
-
-  sweep::SweepJournal journal;
-  if (!options.journal_path.empty()) {
-    bool exists = std::filesystem::exists(options.journal_path);
-    if (options.resume && exists) {
-      std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> recovered;
-      journal = sweep::SweepJournal::Recover(options.journal_path, meta, &recovered);
-      for (auto& [chunk_index, values] : recovered) {
-        if (chunk_index >= num_chunks) {
-          throw Error(StrFormat("%s: journal record for chunk %u is out of range (%zu chunks)",
-                                options.journal_path.c_str(), chunk_index, num_chunks));
-        }
-        std::size_t begin = std::size_t{chunk_index} * options.chunk_trials;
-        std::size_t chunk_len =
-            std::min<std::size_t>(options.chunk_trials, prep.total_trials - begin);
-        if (values.size() != chunk_len * words_per_trial) {
-          throw Error(StrFormat("%s: journal record for chunk %u holds %zu values, "
-                                "expected %zu",
-                                options.journal_path.c_str(), chunk_index, values.size(),
-                                chunk_len * words_per_trial));
-        }
-        std::size_t cell = cell_of(begin);
-        for (std::size_t i = 0; i < chunk_len; ++i) {
-          std::size_t g = begin + i;
-          while (g >= prep.offsets[cell + 1]) ++cell;
-          const std::uint32_t* at = values.data() + i * words_per_trial;
-          TrialOutcome outcome;
-          outcome.loss_ases = DecodeDouble(at);
-          outcome.disconnected = DecodeDouble(at + 2);
-          if (table.has_users) outcome.loss_users = DecodeDouble(at + 4);
-          slot_write(cell, g, outcome);
-        }
-        if (!done[chunk_index]) {
-          done[chunk_index] = 1;
-          ++chunks_resumed;
-        }
-      }
-      Counters().chunks_resumed.Increment(chunks_resumed);
-      obs::Log(obs::LogLevel::kInfo, "failsim", "resume")
-          .Kv("journal", options.journal_path)
-          .Kv("chunks_resumed", static_cast<std::uint64_t>(chunks_resumed))
-          .Kv("chunks_total", static_cast<std::uint64_t>(num_chunks));
-    } else {
-      journal = sweep::SweepJournal::Create(options.journal_path, meta);
-    }
-  }
-
-  std::atomic<std::size_t> next_chunk{0};
-  std::atomic<std::size_t> chunks_computed{0};
-  std::atomic<std::size_t> trials_evaluated{0};
-  std::atomic<bool> failed{false};
-  std::mutex journal_mu;
-  std::string failure;  // first worker error, guarded by journal_mu
-
-  obs::CampaignMonitor::Options monitor_options;
-  monitor_options.component = "failsim";
-  monitor_options.unit = "trials";
-  monitor_options.total_chunks = num_chunks;
-  monitor_options.resumed_chunks = chunks_resumed;
-  monitor_options.workers = options.threads > 0
-                                ? options.threads
-                                : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  obs::CampaignMonitor monitor(monitor_options);
-
-  auto worker_loop = [&] {
-    FailWorkspace workspace(internet.graph());
-    std::vector<std::uint32_t> payload;
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) break;
-      if (options.max_chunks != 0 &&
-          chunks_computed.load(std::memory_order_relaxed) >= options.max_chunks) {
-        break;
-      }
-      std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= num_chunks) break;
-      if (done[chunk]) continue;
-
-      obs::TraceSpan chunk_span("failsim.chunk");
-      Stopwatch chunk_watch;
-      std::size_t begin = chunk * options.chunk_trials;
-      std::size_t chunk_len =
-          std::min<std::size_t>(options.chunk_trials, prep.total_trials - begin);
-      payload.assign(chunk_len * words_per_trial, 0);
-      std::size_t cell = cell_of(begin);
-      for (std::size_t i = 0; i < chunk_len; ++i) {
-        std::size_t g = begin + i;
-        while (g >= prep.offsets[cell + 1]) ++cell;
-        TrialOutcome outcome = EvaluateTrial(internet, prep, table, cell,
-                                             g - prep.offsets[cell], options.users, workspace);
-        slot_write(cell, g, outcome);
-        std::uint32_t* at = payload.data() + i * words_per_trial;
-        EncodeDouble(outcome.loss_ases, at);
-        EncodeDouble(outcome.disconnected, at + 2);
-        if (table.has_users) EncodeDouble(outcome.loss_users, at + 4);
-      }
-
-      if (journal.is_open()) {
-        // Pool tasks must not throw; a journal I/O failure aborts the
-        // campaign cooperatively and rethrows after the pool drains.
-        {
-          std::lock_guard<std::mutex> lock(journal_mu);
-          try {
-            journal.AppendChunk(static_cast<std::uint32_t>(chunk), payload.data(),
-                                payload.size());
-          } catch (const Error& e) {
-            if (failure.empty()) failure = e.what();
-            failed.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-        Counters().checkpoint_writes.Increment();
-      }
-
-      chunks_computed.fetch_add(1, std::memory_order_relaxed);
-      trials_evaluated.fetch_add(chunk_len, std::memory_order_relaxed);
-      Counters().chunks_completed.Increment();
-      Counters().trials_evaluated.Increment(chunk_len);
-      monitor.ChunkDone(chunk, chunk_watch.ElapsedSeconds() * 1000.0, chunk_len);
-      if (options.throttle_chunk_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(options.throttle_chunk_ms));
-      }
-    }
+  auto decode = [&](std::size_t begin, std::size_t len, const std::uint32_t* payload) {
+    auto land_trial = [&](std::size_t cell, std::size_t local, std::size_t i) {
+      const std::uint32_t* at = payload + i * words_per_trial;
+      FailCellResult& result = table.cells[cell];
+      result.loss_ases[local] = sweep::DecodeDouble(at);
+      result.disconnected[local] = sweep::DecodeDouble(at + 2);
+      if (table.has_users) result.loss_users[local] = sweep::DecodeDouble(at + 4);
+    };
+    sweep::ForEachCellTrial(prep.offsets, begin, len, land_trial);
   };
 
-  {
-    ThreadPool pool(options.threads);
-    std::size_t workers = pool.thread_count() > 0 ? pool.thread_count() : 1;
-    for (std::size_t w = 0; w < workers; ++w) pool.Submit(worker_loop);
-    pool.Wait();
-  }
-  journal.Close();
-  if (failed.load()) throw Error("RunFailureCampaign: " + failure);
-
-  double seconds = stopwatch.ElapsedSeconds();
-  std::size_t computed = chunks_computed.load();
-  if (seconds > 0.0) {
-    Counters().trials_per_sec.Set(
-        static_cast<std::int64_t>(static_cast<double>(trials_evaluated.load()) / seconds));
-  }
-  if (stats != nullptr) {
-    stats->chunks_total = num_chunks;
-    stats->chunks_resumed = chunks_resumed;
-    stats->chunks_computed = computed;
-    stats->trials_evaluated = trials_evaluated.load();
-    stats->complete = chunks_resumed + computed >= num_chunks;
-    stats->seconds = seconds;
-  }
+  sweep::ChunkedCampaign campaign{"failsim", "trials", "trials_evaluated", "RunFailureCampaign",
+                                  words_per_trial};
+  std::size_t computed =
+      sweep::RunChunked(campaign, options, prepare, make_evaluator, decode, stats);
+  if (stats != nullptr) stats->trials_evaluated = computed;
   return table;
 }
 
 void FinalizeFailStore(const std::string& path, const FailTable& table,
                        const std::string& journal_path) {
   WriteFailStore(path, table);
-  if (!journal_path.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(journal_path, ec);  // best-effort cleanup
-  }
+  sweep::RemoveJournal(journal_path);
 }
 
 }  // namespace flatnet::failsim

@@ -13,13 +13,12 @@
 // — and the store serialized from it — is byte-identical at any thread
 // count and any chunk size.
 //
-// With a journal path set, completed chunks are checkpointed through
-// sweep::SweepJournal (doubles ride as u32 word pairs); a killed run
-// resumed with `resume = true` recomputes only the missing chunks and
-// produces a byte-identical store. The journal header is keyed on the
-// campaign fingerprint, so resuming against different inputs is loud.
-//
-// Instrumented with src/obs/: failsim.chunks_completed / chunks_resumed /
+// Chunking, checkpoint/resume, and instrumentation come from the shared
+// campaign driver (sweep/chunked.h; doubles ride the journal as u32 word
+// pairs): a killed run resumed with `resume = true` recomputes only the
+// missing chunks and produces a byte-identical store. The journal header
+// is keyed on the campaign fingerprint, so resuming against different
+// inputs is loud. Metrics: failsim.chunks_completed / chunks_resumed /
 // checkpoint_writes / trials_evaluated counters, a failsim.trials_per_sec
 // gauge, and failsim.run / failsim.prepare / failsim.chunk trace spans.
 #ifndef FLATNET_FAILSIM_ENGINE_H_
@@ -31,12 +30,11 @@
 
 #include "core/internet.h"
 #include "failsim/store.h"
+#include "sweep/chunked.h"
 
 namespace flatnet::failsim {
 
-struct FailCampaignOptions {
-  // Worker parallelism; 0 = hardware concurrency.
-  std::size_t threads = 0;
+struct FailCampaignOptions : sweep::ChunkedOptions {
   // Trials per chunk — the unit of claiming and of checkpointing. Failure
   // trials are heavier than leak trials (link trials rebuild the graph),
   // so the default chunk is smaller than leaksim's.
@@ -46,26 +44,10 @@ struct FailCampaignOptions {
   const std::vector<double>* users = nullptr;
   // Viewpoint-trimming fraction for kHegemonyCascade rankings (each end).
   double hegemony_trim = 0.1;
-  // When non-empty, completed chunks are journaled here.
-  std::string journal_path;
-  // Resume from an existing journal at journal_path (fresh start when the
-  // file does not exist). A mismatch against this topology, cell list, or
-  // user-weight flag throws rather than silently recomputing.
-  bool resume = false;
-  // Test/smoke hooks: stop after this many freshly computed chunks
-  // (0 = run to completion), and sleep per completed chunk so an external
-  // kill can land mid-run on small campaigns.
-  std::uint32_t max_chunks = 0;
-  std::uint32_t throttle_chunk_ms = 0;
 };
 
-struct FailCampaignStats {
-  std::size_t chunks_total = 0;
-  std::size_t chunks_resumed = 0;   // restored from the journal
-  std::size_t chunks_computed = 0;  // computed by this run
+struct FailCampaignStats : sweep::ChunkedStats {
   std::size_t trials_evaluated = 0;
-  bool complete = false;  // false only when max_chunks stopped the run early
-  double seconds = 0.0;
 };
 
 // Runs the campaign. The returned table covers every trial when

@@ -1,67 +1,17 @@
 #include "leaksim/engine.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstring>
-#include <filesystem>
 #include <memory>
-#include <mutex>
-#include <thread>
 
 #include "core/leak_scenarios.h"
-#include "obs/campaign.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sweep/chunked.h"
 #include "sweep/fingerprint.h"
-#include "sweep/journal.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace flatnet::leaksim {
 namespace {
-
-struct LeaksimCounters {
-  obs::Counter& chunks_completed = obs::GetCounter("leaksim.chunks_completed");
-  obs::Counter& chunks_resumed = obs::GetCounter("leaksim.chunks_resumed");
-  obs::Counter& checkpoint_writes = obs::GetCounter("leaksim.checkpoint_writes");
-  obs::Counter& trials_evaluated = obs::GetCounter("leaksim.trials_evaluated");
-  obs::Gauge& trials_per_sec = obs::GetGauge("leaksim.trials_per_sec");
-};
-
-LeaksimCounters& Counters() {
-  static LeaksimCounters counters;
-  return counters;
-}
-
-std::uint64_t Fnv1aMix(std::uint64_t hash, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xff;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-// Journal payload encoding: each double rides as two u32 words (low word
-// first). Per trial the payload holds the AS fraction, then — when users
-// are weighted — the user fraction.
-void EncodeDouble(double value, std::uint32_t* out) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  out[0] = static_cast<std::uint32_t>(bits);
-  out[1] = static_cast<std::uint32_t>(bits >> 32);
-}
-
-double DecodeDouble(const std::uint32_t* in) {
-  std::uint64_t bits = (static_cast<std::uint64_t>(in[1]) << 32) | in[0];
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
 
 // The serial prep product: one experiment + pre-drawn leakers per cell,
 // and the prefix sums mapping global trial indices back to (cell, local).
@@ -118,16 +68,16 @@ PreparedCampaign Prepare(const Internet& internet, const std::vector<LeakCellSpe
 std::uint64_t CampaignFingerprint(const Internet& internet,
                                   const std::vector<LeakCellSpec>& cells, bool has_users) {
   std::uint64_t hash = 14695981039346656037ull;
-  hash = Fnv1aMix(hash, sweep::TopologyFingerprint(internet));
-  hash = Fnv1aMix(hash, has_users ? 1 : 0);
-  hash = Fnv1aMix(hash, cells.size());
+  hash = sweep::Fnv1aMix(hash, sweep::TopologyFingerprint(internet));
+  hash = sweep::Fnv1aMix(hash, has_users ? 1 : 0);
+  hash = sweep::Fnv1aMix(hash, cells.size());
   for (const LeakCellSpec& spec : cells) {
-    hash = Fnv1aMix(hash, spec.victim);
-    hash = Fnv1aMix(hash, static_cast<std::uint64_t>(spec.scenario));
-    hash = Fnv1aMix(hash, static_cast<std::uint64_t>(spec.lock_mode));
-    hash = Fnv1aMix(hash, static_cast<std::uint64_t>(spec.model));
-    hash = Fnv1aMix(hash, spec.seed);
-    hash = Fnv1aMix(hash, spec.trials);
+    hash = sweep::Fnv1aMix(hash, spec.victim);
+    hash = sweep::Fnv1aMix(hash, static_cast<std::uint64_t>(spec.scenario));
+    hash = sweep::Fnv1aMix(hash, static_cast<std::uint64_t>(spec.lock_mode));
+    hash = sweep::Fnv1aMix(hash, static_cast<std::uint64_t>(spec.model));
+    hash = sweep::Fnv1aMix(hash, spec.seed);
+    hash = sweep::Fnv1aMix(hash, spec.trials);
   }
   return hash;
 }
@@ -142,189 +92,58 @@ LeakTable RunLeakCampaign(const Internet& internet, const std::vector<LeakCellSp
                                     options.users->size(), internet.num_ases()));
   }
 
-  obs::TraceSpan run_span("leaksim.run");
-  Stopwatch stopwatch;
-
   LeakTable table;
-  table.fingerprint = sweep::TopologyFingerprint(internet);
   table.has_users = options.users != nullptr;
-  PreparedCampaign prep = Prepare(internet, cells, options.users, table);
-
-  std::size_t words_per_trial = table.has_users ? 4 : 2;
-  std::size_t num_chunks =
-      prep.total_trials == 0
-          ? 0
-          : (prep.total_trials + options.chunk_trials - 1) / options.chunk_trials;
-  std::vector<char> done(num_chunks, 0);
-  std::size_t chunks_resumed = 0;
+  PreparedCampaign prep;
 
   // Reuse the sweep journal: "origins" are global trial indices and each
-  // trial's values are its fractions as u32 word pairs. The fingerprint
-  // slot carries the campaign fingerprint so a resume against a different
+  // trial's values are its fractions as u32 word pairs — the AS fraction,
+  // then, when users are weighted, the user fraction. The fingerprint slot
+  // carries the campaign fingerprint so a resume against a different
   // topology, cell list, or user-weight flag fails loudly.
-  sweep::SweepMeta meta;
-  meta.fingerprint = CampaignFingerprint(internet, cells, table.has_users);
-  meta.num_origins = prep.total_trials;
-  meta.columns = table.has_users ? 0x3 : 0x1;
-  meta.chunk_size = options.chunk_trials;
-
-  // Writes a trial's fractions into its pre-assigned slot; `cell` is the
-  // index of the cell containing global trial `g`.
-  auto slot_write = [&](std::size_t cell, std::size_t g, double ases, double users_frac) {
-    std::size_t local = g - prep.offsets[cell];
-    table.cells[cell].fraction_ases[local] = ases;
-    if (table.has_users) table.cells[cell].fraction_users[local] = users_frac;
+  auto prepare = [&] {
+    table.fingerprint = sweep::TopologyFingerprint(internet);
+    prep = Prepare(internet, cells, options.users, table);
+    sweep::SweepMeta meta;
+    meta.fingerprint = CampaignFingerprint(internet, cells, table.has_users);
+    meta.num_origins = prep.total_trials;
+    meta.columns = table.has_users ? 0x3 : 0x1;
+    meta.chunk_size = options.chunk_trials;
+    return meta;
   };
-  auto cell_of = [&](std::size_t g) {
-    return static_cast<std::size_t>(
-        std::upper_bound(prep.offsets.begin(), prep.offsets.end(), g) -
-        prep.offsets.begin() - 1);
-  };
+  std::size_t words_per_trial = table.has_users ? 4 : 2;
 
-  sweep::SweepJournal journal;
-  if (!options.journal_path.empty()) {
-    bool exists = std::filesystem::exists(options.journal_path);
-    if (options.resume && exists) {
-      std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> recovered;
-      journal = sweep::SweepJournal::Recover(options.journal_path, meta, &recovered);
-      for (auto& [chunk_index, values] : recovered) {
-        if (chunk_index >= num_chunks) {
-          throw Error(StrFormat("%s: journal record for chunk %u is out of range (%zu chunks)",
-                                options.journal_path.c_str(), chunk_index, num_chunks));
-        }
-        std::size_t begin = std::size_t{chunk_index} * options.chunk_trials;
-        std::size_t chunk_len =
-            std::min<std::size_t>(options.chunk_trials, prep.total_trials - begin);
-        if (values.size() != chunk_len * words_per_trial) {
-          throw Error(StrFormat("%s: journal record for chunk %u holds %zu values, "
-                                "expected %zu",
-                                options.journal_path.c_str(), chunk_index, values.size(),
-                                chunk_len * words_per_trial));
-        }
-        std::size_t cell = cell_of(begin);
-        for (std::size_t i = 0; i < chunk_len; ++i) {
-          std::size_t g = begin + i;
-          while (g >= prep.offsets[cell + 1]) ++cell;
-          const std::uint32_t* at = values.data() + i * words_per_trial;
-          slot_write(cell, g, DecodeDouble(at),
-                     table.has_users ? DecodeDouble(at + 2) : 0.0);
-        }
-        if (!done[chunk_index]) {
-          done[chunk_index] = 1;
-          ++chunks_resumed;
-        }
-      }
-      Counters().chunks_resumed.Increment(chunks_resumed);
-      obs::Log(obs::LogLevel::kInfo, "leaksim", "resume")
-          .Kv("journal", options.journal_path)
-          .Kv("chunks_resumed", static_cast<std::uint64_t>(chunks_resumed))
-          .Kv("chunks_total", static_cast<std::uint64_t>(num_chunks));
-    } else {
-      journal = sweep::SweepJournal::Create(options.journal_path, meta);
-    }
-  }
-
-  std::atomic<std::size_t> next_chunk{0};
-  std::atomic<std::size_t> chunks_computed{0};
-  std::atomic<std::size_t> trials_evaluated{0};
-  std::atomic<bool> failed{false};
-  std::mutex journal_mu;
-  std::string failure;  // first worker error, guarded by journal_mu
-
-  obs::CampaignMonitor::Options monitor_options;
-  monitor_options.component = "leaksim";
-  monitor_options.unit = "trials";
-  monitor_options.total_chunks = num_chunks;
-  monitor_options.resumed_chunks = chunks_resumed;
-  monitor_options.workers = options.threads > 0
-                                ? options.threads
-                                : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  obs::CampaignMonitor monitor(monitor_options);
-
-  auto worker_loop = [&] {
-    LeakWorkspace workspace;
-    std::vector<std::uint32_t> payload;
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) break;
-      if (options.max_chunks != 0 &&
-          chunks_computed.load(std::memory_order_relaxed) >= options.max_chunks) {
-        break;
-      }
-      std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= num_chunks) break;
-      if (done[chunk]) continue;
-
-      obs::TraceSpan chunk_span("leaksim.chunk");
-      Stopwatch chunk_watch;
-      std::size_t begin = chunk * options.chunk_trials;
-      std::size_t chunk_len =
-          std::min<std::size_t>(options.chunk_trials, prep.total_trials - begin);
-      payload.assign(chunk_len * words_per_trial, 0);
-      std::size_t cell = cell_of(begin);
-      for (std::size_t i = 0; i < chunk_len; ++i) {
-        std::size_t g = begin + i;
-        while (g >= prep.offsets[cell + 1]) ++cell;
-        AsId leaker = prep.leakers[cell][g - prep.offsets[cell]];
+  auto make_evaluator = [&]() -> sweep::ChunkEvaluator {
+    auto workspace = std::make_shared<LeakWorkspace>();
+    return [&, workspace](std::size_t begin, std::size_t len, std::uint32_t* payload) {
+      auto run_trial = [&](std::size_t cell, std::size_t local, std::size_t i) {
         // Engaged by construction: the draw only kept CanLeak leakers.
-        LeakOutcome outcome = *prep.experiments[cell]->Run(leaker, workspace);
-        slot_write(cell, g, outcome.fraction_ases_detoured,
-                   outcome.fraction_users_detoured);
-        std::uint32_t* at = payload.data() + i * words_per_trial;
-        EncodeDouble(outcome.fraction_ases_detoured, at);
-        if (table.has_users) EncodeDouble(outcome.fraction_users_detoured, at + 2);
-      }
-
-      if (journal.is_open()) {
-        // Pool tasks must not throw; a journal I/O failure aborts the
-        // campaign cooperatively and rethrows after the pool drains.
-        {
-          std::lock_guard<std::mutex> lock(journal_mu);
-          try {
-            journal.AppendChunk(static_cast<std::uint32_t>(chunk), payload.data(),
-                                payload.size());
-          } catch (const Error& e) {
-            if (failure.empty()) failure = e.what();
-            failed.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-        Counters().checkpoint_writes.Increment();
-      }
-
-      chunks_computed.fetch_add(1, std::memory_order_relaxed);
-      trials_evaluated.fetch_add(chunk_len, std::memory_order_relaxed);
-      Counters().chunks_completed.Increment();
-      Counters().trials_evaluated.Increment(chunk_len);
-      monitor.ChunkDone(chunk, chunk_watch.ElapsedSeconds() * 1000.0, chunk_len);
-      if (options.throttle_chunk_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(options.throttle_chunk_ms));
-      }
-    }
+        LeakOutcome outcome =
+            *prep.experiments[cell]->Run(prep.leakers[cell][local], *workspace);
+        std::uint32_t* at = payload + i * words_per_trial;
+        sweep::EncodeDouble(outcome.fraction_ases_detoured, at);
+        if (table.has_users) sweep::EncodeDouble(outcome.fraction_users_detoured, at + 2);
+      };
+      sweep::ForEachCellTrial(prep.offsets, begin, len, run_trial);
+    };
+  };
+  auto decode = [&](std::size_t begin, std::size_t len, const std::uint32_t* payload) {
+    auto land_trial = [&](std::size_t cell, std::size_t local, std::size_t i) {
+      const std::uint32_t* at = payload + i * words_per_trial;
+      LeakCellResult& result = table.cells[cell];
+      result.fraction_ases[local] = sweep::DecodeDouble(at);
+      if (table.has_users) result.fraction_users[local] = sweep::DecodeDouble(at + 2);
+    };
+    sweep::ForEachCellTrial(prep.offsets, begin, len, land_trial);
   };
 
-  {
-    ThreadPool pool(options.threads);
-    std::size_t workers = pool.thread_count() > 0 ? pool.thread_count() : 1;
-    for (std::size_t w = 0; w < workers; ++w) pool.Submit(worker_loop);
-    pool.Wait();
-  }
-  journal.Close();
-  if (failed.load()) throw Error("RunLeakCampaign: " + failure);
-
-  double seconds = stopwatch.ElapsedSeconds();
-  std::size_t computed = chunks_computed.load();
-  if (seconds > 0.0) {
-    Counters().trials_per_sec.Set(
-        static_cast<std::int64_t>(static_cast<double>(trials_evaluated.load()) / seconds));
-  }
+  sweep::ChunkedCampaign campaign{"leaksim", "trials", "trials_evaluated", "RunLeakCampaign",
+                                  words_per_trial};
+  std::size_t computed =
+      sweep::RunChunked(campaign, options, prepare, make_evaluator, decode, stats);
   if (stats != nullptr) {
-    stats->chunks_total = num_chunks;
-    stats->chunks_resumed = chunks_resumed;
-    stats->chunks_computed = computed;
-    stats->trials_evaluated = trials_evaluated.load();
+    stats->trials_evaluated = computed;
     stats->draw_attempts = prep.draw_attempts;
-    stats->complete = chunks_resumed + computed >= num_chunks;
-    stats->seconds = seconds;
   }
   return table;
 }
@@ -332,10 +151,7 @@ LeakTable RunLeakCampaign(const Internet& internet, const std::vector<LeakCellSp
 void FinalizeLeakStore(const std::string& path, const LeakTable& table,
                        const std::string& journal_path) {
   WriteLeakStore(path, table);
-  if (!journal_path.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(journal_path, ec);  // best-effort cleanup
-  }
+  sweep::RemoveJournal(journal_path);
 }
 
 }  // namespace flatnet::leaksim

@@ -10,14 +10,13 @@
 // trial writes into its pre-assigned slot, so the resulting table — and
 // the store serialized from it — is byte-identical at any thread count.
 //
-// With a journal path set, completed chunks are checkpointed through
-// sweep::SweepJournal (doubles ride as u32 word pairs); a killed run
-// resumed with `resume = true` recomputes only the missing chunks and
-// produces a byte-identical store to an uninterrupted run. The journal
-// header is keyed on a campaign fingerprint mixing the topology hash with
-// every cell spec, so resuming against different inputs is loud.
-//
-// Instrumented with src/obs/: leaksim.chunks_completed / chunks_resumed /
+// Chunking, checkpoint/resume, and instrumentation come from the shared
+// campaign driver (sweep/chunked.h; doubles ride the journal as u32 word
+// pairs): a killed run resumed with `resume = true` recomputes only the
+// missing chunks and produces a byte-identical store to an uninterrupted
+// run. The journal header is keyed on a campaign fingerprint mixing the
+// topology hash with every cell spec, so resuming against different
+// inputs is loud. Metrics: leaksim.chunks_completed / chunks_resumed /
 // checkpoint_writes / trials_evaluated counters, a leaksim.trials_per_sec
 // gauge, and leaksim.run / leaksim.prepare / leaksim.chunk trace spans.
 #ifndef FLATNET_LEAKSIM_ENGINE_H_
@@ -29,38 +28,21 @@
 
 #include "core/internet.h"
 #include "leaksim/store.h"
+#include "sweep/chunked.h"
 
 namespace flatnet::leaksim {
 
-struct LeakCampaignOptions {
-  // Worker parallelism; 0 = hardware concurrency.
-  std::size_t threads = 0;
+struct LeakCampaignOptions : sweep::ChunkedOptions {
   // Trials per chunk — the unit of claiming and of checkpointing.
   std::uint32_t chunk_trials = 64;
   // Per-AS user weights (one entry per AS); non-null enables the
   // user-weighted detour column in every cell. Must outlive the run.
   const std::vector<double>* users = nullptr;
-  // When non-empty, completed chunks are journaled here.
-  std::string journal_path;
-  // Resume from an existing journal at journal_path (fresh start when the
-  // file does not exist). The journal must match this topology and this
-  // cell list; a mismatch throws rather than silently recomputing.
-  bool resume = false;
-  // Test/smoke hooks: stop after this many freshly computed chunks
-  // (0 = run to completion), and sleep per completed chunk so an external
-  // kill can land mid-run on small campaigns.
-  std::uint32_t max_chunks = 0;
-  std::uint32_t throttle_chunk_ms = 0;
 };
 
-struct LeakCampaignStats {
-  std::size_t chunks_total = 0;
-  std::size_t chunks_resumed = 0;   // restored from the journal
-  std::size_t chunks_computed = 0;  // computed by this run
+struct LeakCampaignStats : sweep::ChunkedStats {
   std::size_t trials_evaluated = 0;
   std::size_t draw_attempts = 0;  // all cells' leaker draws (accepted + rejected)
-  bool complete = false;  // false only when max_chunks stopped the run early
-  double seconds = 0.0;
 };
 
 // Runs the campaign. The returned table covers every trial when

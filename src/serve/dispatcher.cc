@@ -462,11 +462,11 @@ std::string Dispatcher::HandleSync(const std::string& line) {
   std::string response;
   bool ready = false;
   Handle(line, [&](std::string r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      response = std::move(r);
-      ready = true;
-    }
+    // Notify under the lock: once the waiter sees `ready` it returns and
+    // destroys `cv`, so the notify must finish before the lock is released.
+    std::lock_guard<std::mutex> lock(mu);
+    response = std::move(r);
+    ready = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(mu);

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -184,6 +185,10 @@ void Server::AcceptLoop() {
       continue;
     }
     accepted.Increment();
+    // Replies go out as soon as they are written: with Nagle on, a
+    // pipelined reply waits for the client's next segment or ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     {

@@ -9,13 +9,12 @@
 // reusable exclusion-mask scratch — zero per-origin allocation on the
 // default reachability columns.
 //
-// With a journal path set, every completed chunk is appended to a
-// checkpoint journal (sweep/journal.h); a killed run resumed with
-// `resume = true` recomputes only the missing chunks and — because every
-// per-origin value is deterministic and the store is written in origin
-// order — produces a byte-identical store to an uninterrupted run.
-//
-// Instrumented with src/obs/: sweep.chunks_completed / chunks_resumed /
+// Chunking, checkpoint/resume, and instrumentation come from the shared
+// campaign driver (sweep/chunked.h): with a journal path set, a killed run
+// resumed with `resume = true` recomputes only the missing chunks and —
+// because every per-origin value is deterministic and the store is
+// written in origin order — produces a byte-identical store to an
+// uninterrupted run. Metrics: sweep.chunks_completed / chunks_resumed /
 // checkpoint_writes / origins_computed counters, a sweep.origins_per_sec
 // gauge, and sweep.run / sweep.chunk trace spans.
 #ifndef FLATNET_SWEEP_ENGINE_H_
@@ -26,37 +25,20 @@
 #include <vector>
 
 #include "core/internet.h"
+#include "sweep/chunked.h"
 #include "sweep/store.h"
 
 namespace flatnet::sweep {
 
-struct SweepOptions {
-  // Worker parallelism; 0 = hardware concurrency.
-  std::size_t threads = 0;
+struct SweepOptions : ChunkedOptions {
   // Origins per chunk — the unit of claiming and of checkpointing.
   std::uint32_t chunk_size = 256;
   // Bitmask of SweepColumn values to compute (kReachColumns by default).
   std::uint32_t columns = kReachColumns;
-  // When non-empty, completed chunks are journaled here.
-  std::string journal_path;
-  // Resume from an existing journal at journal_path (fresh start when the
-  // file does not exist). The journal must match this topology and these
-  // options; a mismatch throws rather than silently recomputing.
-  bool resume = false;
-  // Test/smoke hooks: stop after this many freshly computed chunks
-  // (0 = run to completion), and sleep per completed chunk so an external
-  // kill can land mid-run on small topologies.
-  std::uint32_t max_chunks = 0;
-  std::uint32_t throttle_chunk_ms = 0;
 };
 
-struct SweepRunStats {
-  std::size_t chunks_total = 0;
-  std::size_t chunks_resumed = 0;   // restored from the journal
-  std::size_t chunks_computed = 0;  // computed by this run
+struct SweepRunStats : ChunkedStats {
   std::size_t origins_computed = 0;
-  bool complete = false;  // false only when max_chunks stopped the run early
-  double seconds = 0.0;
 };
 
 // Runs the sweep. The returned table covers every origin when

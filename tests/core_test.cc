@@ -8,6 +8,7 @@
 #include "core/reachability_analysis.h"
 #include "core/serialize.h"
 #include "bgp/reachability.h"
+#include "test_paths.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 
@@ -132,7 +133,7 @@ TEST_F(CoreTest, BaselineProducesSamples) {
 }
 
 TEST_F(CoreTest, SerializeRoundTrip) {
-  std::string stem = (std::filesystem::temp_directory_path() / "flatnet_test_cache").string();
+  std::string stem = TempPath("flatnet_test_cache");
   SaveInternet(internet(), stem);
   ASSERT_TRUE(InternetCacheExists(stem));
   Internet loaded = LoadInternet(stem);
@@ -175,8 +176,7 @@ TEST(CoreErrors, LoadMissingCacheThrows) {
 }
 
 TEST(CoreErrors, MalformedMetaLineNamesFileAndLine) {
-  std::string stem =
-      (std::filesystem::temp_directory_path() / "flatnet_badmeta_test").string();
+  std::string stem = TempPath("flatnet_badmeta_test");
   {
     std::ofstream rel(stem + ".as-rel.txt");
     rel << "1|2|-1\n";

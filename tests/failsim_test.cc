@@ -19,6 +19,7 @@
 #include "failsim/engine.h"
 #include "failsim/store.h"
 #include "sweep/fingerprint.h"
+#include "test_paths.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 
@@ -33,10 +34,6 @@ using failsim::FailScenario;
 using failsim::FailStore;
 using failsim::FailTable;
 using failsim::RunFailureCampaign;
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -31,6 +31,7 @@
 #include "serve/server.h"
 #include "sweep/engine.h"
 #include "sweep/store.h"
+#include "test_paths.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 #include "util/json.h"
@@ -309,8 +310,7 @@ class FleetShardTest : public ::testing::Test {
     static const std::string path = [] {
       sweep::SweepOptions options;
       options.threads = 2;
-      std::string p =
-          (std::filesystem::temp_directory_path() / "flatnet_fleet_test.sweep").string();
+      std::string p = TempPath("flatnet_fleet_test.sweep");
       sweep::WriteSweepStore(p, sweep::RunSweep(internet(), options));
       return p;
     }();
@@ -413,11 +413,9 @@ TEST_F(FleetShardTest, StoreOpsAreOwnerLocalAndRejectionsNameTheOwner) {
     fail.trials = 8;
     fail_cells.push_back(fail);
   }
-  std::string leak_path =
-      (std::filesystem::temp_directory_path() / "flatnet_fleet_test.leak").string();
+  std::string leak_path = TempPath("flatnet_fleet_test.leak");
   leaksim::WriteLeakStore(leak_path, leaksim::RunLeakCampaign(internet(), leak_cells));
-  std::string fail_path =
-      (std::filesystem::temp_directory_path() / "flatnet_fleet_test.fail").string();
+  std::string fail_path = TempPath("flatnet_fleet_test.fail");
   failsim::WriteFailStore(fail_path, failsim::RunFailureCampaign(internet(), fail_cells));
 
   auto attach = [&](Dispatcher& d) {

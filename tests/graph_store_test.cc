@@ -11,6 +11,7 @@
 #include "core/graph_store.h"
 #include "core/internet.h"
 #include "core/serialize.h"
+#include "test_paths.h"
 #include "topogen/edge_stream.h"
 #include "topogen/generate.h"
 #include "util/error.h"
@@ -18,10 +19,6 @@
 
 namespace flatnet {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -11,6 +11,7 @@
 #include "bgp/reliance.h"
 #include "core/reachability_analysis.h"
 #include "core/serialize.h"
+#include "test_paths.h"
 #include "topogen/generate.h"
 #include "util/rng.h"
 
@@ -138,9 +139,7 @@ TEST_P(InvariantsTest, FullGraphIsGloballyReachableUpToProviderlessPeers) {
 TEST_P(InvariantsTest, SerializationPreservesAnalyses) {
   World world = MakeWorld(700);
   Internet original(world.full_graph, world.tiers, world.metadata);
-  auto stem = (std::filesystem::temp_directory_path() /
-               ("flatnet_invariants_" + std::to_string(GetParam())))
-                  .string();
+  auto stem = TempPath("flatnet_invariants_" + std::to_string(GetParam()));
   SaveInternet(original, stem);
   Internet reloaded = LoadInternet(stem);
 

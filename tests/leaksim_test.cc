@@ -15,6 +15,7 @@
 #include "leaksim/engine.h"
 #include "leaksim/store.h"
 #include "sweep/fingerprint.h"
+#include "test_paths.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 
@@ -28,10 +29,6 @@ using leaksim::LeakCellSpec;
 using leaksim::LeakStore;
 using leaksim::LeakTable;
 using leaksim::RunLeakCampaign;
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

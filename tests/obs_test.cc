@@ -17,6 +17,7 @@
 #include "obs/recorder.h"
 #include "obs/reqtrace.h"
 #include "obs/trace.h"
+#include "test_paths.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
@@ -257,9 +258,8 @@ TEST(Metrics, SnapshotCountersMonotonicAcrossConsecutiveReads) {
 
 TEST(Metrics, WriteMetricsFileJsonAndPrometheus) {
   GetCounter("test.flush.counter").Increment(7);
-  auto tmp = std::filesystem::temp_directory_path();
-  std::string json_path = (tmp / "flatnet_metrics_test.json").string();
-  std::string prom_path = (tmp / "flatnet_metrics_test.prom").string();
+  std::string json_path = TempPath("flatnet_metrics_test.json");
+  std::string prom_path = TempPath("flatnet_metrics_test.prom");
   ASSERT_TRUE(WriteMetricsFile(json_path));
   ASSERT_TRUE(WriteMetricsFile(prom_path));
 
@@ -279,8 +279,7 @@ TEST(Metrics, WriteMetricsFileJsonAndPrometheus) {
 }
 
 TEST(Metrics, FlusherRepublishesOnCadence) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flatnet_flusher_test.json").string();
+  std::string path = TempPath("flatnet_flusher_test.json");
   {
     MetricsFlusher flusher(path, 0.02);
     ASSERT_TRUE(flusher.active());
@@ -370,8 +369,7 @@ TEST(Recorder, JsonAndDumpFormatsAgree) {
   EXPECT_TRUE(event.Contains("arg"));
 
   // The on-demand dump uses the crash handler's renderer and format.
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flatnet_recorder_test.dump").string();
+  std::string path = TempPath("flatnet_recorder_test.dump");
   ASSERT_TRUE(WriteRecorderDump(path));
   std::ifstream in(path);
   std::string line;

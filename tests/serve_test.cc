@@ -30,6 +30,7 @@
 #include "serve/server.h"
 #include "sweep/engine.h"
 #include "sweep/store.h"
+#include "test_paths.h"
 #include "topogen/generate.h"
 #include "util/cancel.h"
 #include "util/error.h"
@@ -523,8 +524,7 @@ TEST_F(ServeDispatchTest, TopServesRankedPrefixFromAttachedStore) {
   d.AttachSweepStore(
       [&] {
         sweep::SweepStore store;
-        std::string path =
-            (std::filesystem::temp_directory_path() / "flatnet_serve_top.sweep").string();
+        std::string path = TempPath("flatnet_serve_top.sweep");
         sweep::WriteSweepStore(path, sweep::RunSweep(internet(), options));
         store = sweep::SweepStore::Load(path);
         std::filesystem::remove(path);
@@ -569,8 +569,7 @@ TEST_F(ServeDispatchTest, AttachRejectsMismatchedStore) {
   sweep::SweepOptions options;
   options.threads = 2;
   sweep::SweepTable table = sweep::RunSweep(other_net, options);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flatnet_serve_mismatch.sweep").string();
+  std::string path = TempPath("flatnet_serve_mismatch.sweep");
   sweep::WriteSweepStore(path, table);
   sweep::SweepStore store = sweep::SweepStore::Load(path);
   std::filesystem::remove(path);
@@ -638,8 +637,7 @@ TEST_F(ServeDispatchTest, LeakDistServesQuantilesFromAttachedStore) {
     cells.push_back(spec);
   }
   leaksim::LeakTable table = leaksim::RunLeakCampaign(internet(), cells);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flatnet_serve_leakdist.leak").string();
+  std::string path = TempPath("flatnet_serve_leakdist.leak");
   leaksim::WriteLeakStore(path, table);
 
   Dispatcher d(internet(), DispatcherOptions{.threads = 2});
@@ -687,8 +685,7 @@ TEST_F(ServeDispatchTest, AttachRejectsMismatchedLeakStore) {
   spec.seed = 2;
   spec.trials = 5;
   leaksim::LeakTable table = leaksim::RunLeakCampaign(other_net, {spec});
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flatnet_serve_leak_mismatch.leak").string();
+  std::string path = TempPath("flatnet_serve_leak_mismatch.leak");
   leaksim::WriteLeakStore(path, table);
   leaksim::LeakStore store = leaksim::LeakStore::Load(path);
   std::filesystem::remove(path);
@@ -762,8 +759,7 @@ TEST_F(ServeDispatchTest, HegemonyAndFailureServeFromAttachedStore) {
     cells.push_back(spec);
   }
   failsim::FailTable table = failsim::RunFailureCampaign(internet(), cells);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flatnet_serve_failure.fail").string();
+  std::string path = TempPath("flatnet_serve_failure.fail");
   failsim::WriteFailStore(path, table);
 
   Dispatcher d(internet(), DispatcherOptions{.threads = 2});
@@ -846,8 +842,7 @@ TEST_F(ServeDispatchTest, AttachRejectsMismatchedFailStore) {
   spec.seed = 2;
   spec.trials = 5;
   failsim::FailTable table = failsim::RunFailureCampaign(other_net, {spec});
-  std::string path =
-      (std::filesystem::temp_directory_path() / "flatnet_serve_fail_mismatch.fail").string();
+  std::string path = TempPath("flatnet_serve_fail_mismatch.fail");
   failsim::WriteFailStore(path, table);
   failsim::FailStore store = failsim::FailStore::Load(path);
   std::filesystem::remove(path);

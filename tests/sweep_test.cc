@@ -5,15 +5,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "bgp/reachability.h"
 #include "core/reachability_analysis.h"
+#include "sweep/chunked.h"
 #include "sweep/engine.h"
 #include "sweep/fingerprint.h"
 #include "sweep/journal.h"
 #include "sweep/store.h"
+#include "test_paths.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 
@@ -30,10 +33,6 @@ using sweep::SweepRunStats;
 using sweep::SweepStore;
 using sweep::SweepTable;
 using sweep::TopologyFingerprint;
-
-std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -334,6 +333,71 @@ TEST_F(SweepTest, PathColumnsBinByRouteLength) {
     EXPECT_EQ(table.Column(SweepColumn::kPathThreePlus)[origin],
               static_cast<std::uint32_t>(expected.three_plus));
   }
+}
+
+// The chunked driver's own journal checks, over a trivial evaluator that
+// writes each unit's index: an intact journal resumes (recovered and fresh
+// chunks land through the same decode), while a record past the last
+// chunk or of the wrong length fails the resume with an Error naming the
+// journal.
+TEST(ChunkedDriver, ResumeChecksRecordRangeAndLength) {
+  std::string journal = TempPath("chunked.journal");
+  SweepMeta meta;
+  meta.fingerprint = 0xc0ffee;
+  meta.num_origins = 10;
+  meta.columns = 0x1;
+  meta.chunk_size = 4;  // chunks of 4, 4, and 2 units
+  sweep::ChunkedCampaign campaign{"chunked_test", "units", "units_computed", "ChunkedTest"};
+  sweep::ChunkedOptions options;
+  options.threads = 2;
+  options.journal_path = journal;
+  options.resume = true;
+  std::vector<std::uint32_t> table(meta.num_origins, 0);
+  auto prepare = [&] { return meta; };
+  auto make_evaluator = [] {
+    return sweep::ChunkEvaluator(
+        [](std::size_t begin, std::size_t len, std::uint32_t* payload) {
+          for (std::size_t i = 0; i < len; ++i) {
+            payload[i] = static_cast<std::uint32_t>(begin + i);
+          }
+        });
+  };
+  auto decode = [&](std::size_t begin, std::size_t len, const std::uint32_t* payload) {
+    std::copy(payload, payload + len, table.begin() + static_cast<std::ptrdiff_t>(begin));
+  };
+  auto write_journal = [&](std::uint32_t chunk, std::vector<std::uint32_t> values) {
+    SweepJournal writer = SweepJournal::Create(journal, meta);
+    writer.AppendChunk(chunk, values.data(), values.size());
+  };
+  auto resume_error = [&] {
+    try {
+      sweep::RunChunked(campaign, options, prepare, make_evaluator, decode);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+
+  write_journal(1, {4, 5, 6, 7});
+  sweep::ChunkedStats stats;
+  EXPECT_EQ(sweep::RunChunked(campaign, options, prepare, make_evaluator, decode, &stats), 6u);
+  EXPECT_EQ(stats.chunks_resumed, 1u);
+  EXPECT_EQ(stats.chunks_computed, 2u);
+  EXPECT_TRUE(stats.complete);
+  std::vector<std::uint32_t> expected(meta.num_origins);
+  std::iota(expected.begin(), expected.end(), 0u);
+  EXPECT_EQ(table, expected);
+
+  write_journal(3, {0, 0, 0, 0});
+  std::string error = resume_error();
+  EXPECT_NE(error.find(journal), std::string::npos) << error;
+  EXPECT_NE(error.find("chunk 3 is out of range (3 chunks)"), std::string::npos) << error;
+
+  write_journal(2, {8, 9, 10});
+  error = resume_error();
+  EXPECT_NE(error.find(journal), std::string::npos) << error;
+  EXPECT_NE(error.find("chunk 2 holds 3 values, expected 2"), std::string::npos) << error;
+  std::filesystem::remove(journal);
 }
 
 }  // namespace

@@ -25,13 +25,13 @@
 // hooks (slow the run so a kill can land mid-run / stop after N chunks).
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bgp/hegemony.h"
 #include "bgp/propagation.h"
+#include "campaign_cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "failsim/engine.h"
@@ -40,7 +40,6 @@
 #include "obs/recorder.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/strings.h"
 
 using namespace flatnet;
@@ -84,15 +83,6 @@ bool ParseScenarios(const std::string& list, std::vector<failsim::FailScenario>*
   return !out->empty();
 }
 
-void PrintSeries(const char* label, std::vector<double> f) {
-  double mean =
-      f.empty() ? 0.0
-                : std::accumulate(f.begin(), f.end(), 0.0) / static_cast<double>(f.size());
-  std::printf("%s mean %.2f%%  median %.2f%%  p90 %.2f%%  p99 %.2f%%  max %.2f%%\n", label,
-              100 * mean, 100 * Quantile(f, 0.5), 100 * Quantile(f, 0.9),
-              100 * Quantile(f, 0.99), 100 * Quantile(f, 1.0));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,7 +116,10 @@ int main(int argc, char** argv) {
       return true;
     };
     std::uint64_t value = 0;
-    if (arg == "--log-level") {
+    if (auto flag = tools::ParseCampaignFlag(argc, argv, &i, &options, &options.chunk_trials);
+        flag != tools::CampaignFlag::kNotOurs) {
+      if (flag == tools::CampaignFlag::kBad) return Usage();
+    } else if (arg == "--log-level") {
       const char* v = next();
       auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
       if (!level) return Usage();
@@ -162,20 +155,6 @@ int main(int argc, char** argv) {
       auto parsed = v ? ParseDouble(v) : std::nullopt;
       if (!parsed || *parsed < 0.0 || *parsed >= 0.5) return Usage();
       options.hegemony_trim = *parsed;
-    } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      options.threads = value;
-    } else if (arg == "--chunk") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      options.chunk_trials = static_cast<std::uint32_t>(value);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--throttle-chunk-ms") {
-      if (!next_u64(&value)) return Usage();
-      options.throttle_chunk_ms = static_cast<std::uint32_t>(value);
-    } else if (arg == "--max-chunks") {
-      if (!next_u64(&value)) return Usage();
-      options.max_chunks = static_cast<std::uint32_t>(value);
     } else if (arg == "--hegemony") {
       hegemony_mode = true;
     } else if (arg == "--users") {
@@ -216,17 +195,8 @@ int main(int argc, char** argv) {
     Internet internet = LoadInternetAuto(stem);
     std::size_t n = internet.num_ases();
 
-    auto lookup = [&](std::uint64_t asn) {
-      auto id = internet.graph().IdOf(static_cast<Asn>(asn));
-      if (!id) {
-        throw Error(StrFormat("AS%llu not present in the topology",
-                              static_cast<unsigned long long>(asn)));
-      }
-      return *id;
-    };
-
     if (hegemony_mode) {
-      AsId origin = lookup(*origin_asn);
+      AsId origin = tools::AsIdOf(internet, *origin_asn);
       RouteComputation computation(internet.graph(), {{.node = origin}});
       HegemonyOptions hegemony_options;
       hegemony_options.trim = options.hegemony_trim;
@@ -249,16 +219,7 @@ int main(int argc, char** argv) {
     // origin draw and each cell's trial seed, so a campaign is fully
     // reproducible from (topology, seed, origins, scenarios, trials).
     Rng master(seed);
-    std::vector<AsId> origin_ids;
-    if (origin_asn.has_value()) {
-      origin_ids.push_back(lookup(*origin_asn));
-    } else {
-      for (std::uint32_t id : master.SampleWithoutReplacement(
-               static_cast<std::uint32_t>(n),
-               static_cast<std::uint32_t>(std::min(origins, n)))) {
-        origin_ids.push_back(static_cast<AsId>(id));
-      }
-    }
+    std::vector<AsId> origin_ids = tools::CampaignAses(internet, origin_asn, origins, master);
 
     std::vector<failsim::FailCellSpec> cells;
     cells.reserve(origin_ids.size() * scenarios.size());
@@ -276,8 +237,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> users;
     if (use_users) {
-      users.resize(n);
-      for (AsId id = 0; id < n; ++id) users[id] = internet.metadata().Get(id).users;
+      users = tools::UserWeights(internet);
       options.users = &users;
     }
     if (out.empty()) out = stem + ".fail";
@@ -288,18 +248,8 @@ int main(int argc, char** argv) {
 
     failsim::FailCampaignStats stats;
     failsim::FailTable table = failsim::RunFailureCampaign(internet, cells, options, &stats);
-    std::fprintf(stderr,
-                 "campaign: %zu/%zu chunks computed (%zu resumed), %zu trials in %.2fs "
-                 "(%.0f trials/s)\n",
-                 stats.chunks_computed, stats.chunks_total, stats.chunks_resumed,
-                 stats.trials_evaluated, stats.seconds,
-                 stats.seconds > 0 ? static_cast<double>(stats.trials_evaluated) / stats.seconds
-                                   : 0.0);
-    if (!stats.complete) {
-      // A --max-chunks run leaves the journal in place so the next
-      // --resume invocation picks up where this one stopped.
-      std::fprintf(stderr, "partial run (--max-chunks): journal kept at %s, no store written\n",
-                   options.journal_path.c_str());
+    if (!tools::ReportCampaignRun("campaign", "trials", stats, stats.trials_evaluated,
+                                  options.journal_path)) {
       return finish(0);
     }
 
@@ -314,7 +264,7 @@ int main(int argc, char** argv) {
       }
       std::string label = StrFormat("AS%llu %-18s loss", static_cast<unsigned long long>(asn),
                                     ToString(cell.spec.scenario));
-      PrintSeries(label.c_str(), cell.loss_ases);
+      tools::PrintSeries(label.c_str(), cell.loss_ases);
     }
     failsim::FinalizeFailStore(out, table, options.journal_path);
     std::printf("wrote %s\n", out.c_str());

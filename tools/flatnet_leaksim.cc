@@ -24,11 +24,11 @@
 // hooks (slow the run so a kill can land mid-run / stop after N chunks).
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign_cli.h"
 #include "core/leak_scenarios.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
@@ -38,7 +38,6 @@
 #include "obs/recorder.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/strings.h"
 
 using namespace flatnet;
@@ -64,15 +63,6 @@ constexpr LeakScenario kAllScenarios[kNumLeakScenarios] = {
     LeakScenario::kAnnounceAllLockT1T2,   LeakScenario::kAnnounceAllLockGlobal,
     LeakScenario::kAnnounceHierarchyOnly,
 };
-
-void PrintSeries(const char* label, std::vector<double> f) {
-  double mean =
-      f.empty() ? 0.0
-                : std::accumulate(f.begin(), f.end(), 0.0) / static_cast<double>(f.size());
-  std::printf("%s mean %.2f%%  median %.2f%%  p90 %.2f%%  p99 %.2f%%  max %.2f%%\n", label,
-              100 * mean, 100 * Quantile(f, 0.5), 100 * Quantile(f, 0.9),
-              100 * Quantile(f, 0.99), 100 * Quantile(f, 1.0));
-}
 
 void WarnUnderCollected(AsId victim, Asn asn, LeakScenario scenario, std::size_t collected,
                         std::size_t requested, std::size_t attempts) {
@@ -113,7 +103,10 @@ int main(int argc, char** argv) {
       return true;
     };
     std::uint64_t value = 0;
-    if (arg == "--log-level") {
+    if (auto flag = tools::ParseCampaignFlag(argc, argv, &i, &options, &options.chunk_trials);
+        flag != tools::CampaignFlag::kNotOurs) {
+      if (flag == tools::CampaignFlag::kBad) return Usage();
+    } else if (arg == "--log-level") {
       const char* v = next();
       auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
       if (!level) return Usage();
@@ -138,20 +131,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       if (!next_u64(&value)) return Usage();
       seed = value;
-    } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      options.threads = value;
-    } else if (arg == "--chunk") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      options.chunk_trials = static_cast<std::uint32_t>(value);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--throttle-chunk-ms") {
-      if (!next_u64(&value)) return Usage();
-      options.throttle_chunk_ms = static_cast<std::uint32_t>(value);
-    } else if (arg == "--max-chunks") {
-      if (!next_u64(&value)) return Usage();
-      options.max_chunks = static_cast<std::uint32_t>(value);
     } else if (arg == "--campaign") {
       campaign = true;
     } else if (arg == "--users") {
@@ -209,17 +188,8 @@ int main(int argc, char** argv) {
   try {
     Internet internet = LoadInternetAuto(stem);
 
-    auto lookup = [&](std::uint64_t asn) {
-      auto id = internet.graph().IdOf(static_cast<Asn>(asn));
-      if (!id) {
-        throw Error(StrFormat("AS%llu not present in the topology",
-                              static_cast<unsigned long long>(asn)));
-      }
-      return *id;
-    };
-
     if (!campaign) {
-      AsId victim = lookup(*victim_asn);
+      AsId victim = tools::AsIdOf(internet, *victim_asn);
       LeakTrialSeries series =
           RunLeakScenario(internet, victim, scenario, trials, seed, nullptr, mode);
       std::printf("victim AS%llu (%s), scenario: %s%s, %zu trials\n",
@@ -242,7 +212,7 @@ int main(int argc, char** argv) {
                      series.attempts);
         return finish(1);
       }
-      PrintSeries("ASes detoured:", series.fraction_ases_detoured);
+      tools::PrintSeries("ASes detoured:", series.fraction_ases_detoured);
       return finish(0);
     }
 
@@ -251,16 +221,7 @@ int main(int argc, char** argv) {
     // reproducible from (topology, seed, victims, trials).
     std::size_t n = internet.num_ases();
     Rng master(seed);
-    std::vector<AsId> victim_ids;
-    if (victim_asn.has_value()) {
-      victim_ids.push_back(lookup(*victim_asn));
-    } else {
-      for (std::uint32_t id : master.SampleWithoutReplacement(
-               static_cast<std::uint32_t>(n),
-               static_cast<std::uint32_t>(std::min(victims, n)))) {
-        victim_ids.push_back(static_cast<AsId>(id));
-      }
-    }
+    std::vector<AsId> victim_ids = tools::CampaignAses(internet, victim_asn, victims, master);
 
     std::vector<leaksim::LeakCellSpec> cells;
     cells.reserve(victim_ids.size() * kNumLeakScenarios);
@@ -278,8 +239,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> users;
     if (use_users) {
-      users.resize(n);
-      for (AsId id = 0; id < n; ++id) users[id] = internet.metadata().Get(id).users;
+      users = tools::UserWeights(internet);
       options.users = &users;
     }
     if (out.empty()) out = stem + ".leak";
@@ -290,18 +250,8 @@ int main(int argc, char** argv) {
 
     leaksim::LeakCampaignStats stats;
     leaksim::LeakTable table = leaksim::RunLeakCampaign(internet, cells, options, &stats);
-    std::fprintf(stderr,
-                 "campaign: %zu/%zu chunks computed (%zu resumed), %zu trials in %.2fs "
-                 "(%.0f trials/s)\n",
-                 stats.chunks_computed, stats.chunks_total, stats.chunks_resumed,
-                 stats.trials_evaluated, stats.seconds,
-                 stats.seconds > 0 ? static_cast<double>(stats.trials_evaluated) / stats.seconds
-                                   : 0.0);
-    if (!stats.complete) {
-      // A --max-chunks run leaves the journal in place so the next
-      // --resume invocation picks up where this one stopped.
-      std::fprintf(stderr, "partial run (--max-chunks): journal kept at %s, no store written\n",
-                   options.journal_path.c_str());
+    if (!tools::ReportCampaignRun("campaign", "trials", stats, stats.trials_evaluated,
+                                  options.journal_path)) {
       return finish(0);
     }
 
@@ -314,7 +264,7 @@ int main(int argc, char** argv) {
       std::string label =
           StrFormat("AS%llu %-36s", static_cast<unsigned long long>(asn),
                     ToString(cell.spec.scenario));
-      PrintSeries(label.c_str(), cell.fraction_ases);
+      tools::PrintSeries(label.c_str(), cell.fraction_ases);
     }
     leaksim::FinalizeLeakStore(out, table, options.journal_path);
     std::printf("wrote %s\n", out.c_str());

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <string>
 
+#include "campaign_cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "obs/log.h"
@@ -56,24 +57,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* value) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *value = *parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
-    if (arg == "--out") {
+    if (auto flag = tools::ParseCampaignFlag(argc, argv, &i, &options, &options.chunk_size);
+        flag != tools::CampaignFlag::kNotOurs) {
+      if (flag == tools::CampaignFlag::kBad) return Usage();
+    } else if (arg == "--out") {
       const char* v = next();
       if (!v) return Usage();
       out = v;
-    } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      options.threads = value;
-    } else if (arg == "--chunk") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      options.chunk_size = static_cast<std::uint32_t>(value);
     } else if (arg == "--columns") {
       const char* v = next();
       if (!v) return Usage();
@@ -85,14 +75,6 @@ int main(int argc, char** argv) {
       } else {
         return Usage();
       }
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--throttle-chunk-ms") {
-      if (!next_u64(&value)) return Usage();
-      options.throttle_chunk_ms = static_cast<std::uint32_t>(value);
-    } else if (arg == "--max-chunks") {
-      if (!next_u64(&value)) return Usage();
-      options.max_chunks = static_cast<std::uint32_t>(value);
     } else if (arg == "--log-level") {
       const char* v = next();
       auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
@@ -130,18 +112,8 @@ int main(int argc, char** argv) {
 
     sweep::SweepRunStats stats;
     sweep::SweepTable table = sweep::RunSweep(internet, options, &stats);
-    std::fprintf(stderr,
-                 "sweep: %zu/%zu chunks computed (%zu resumed), %zu origins in %.2fs "
-                 "(%.0f origins/s)\n",
-                 stats.chunks_computed, stats.chunks_total, stats.chunks_resumed,
-                 stats.origins_computed, stats.seconds,
-                 stats.seconds > 0 ? static_cast<double>(stats.origins_computed) / stats.seconds
-                                   : 0.0);
-    if (!stats.complete) {
-      // A --max-chunks run leaves the journal in place so the next
-      // --resume invocation picks up where this one stopped.
-      std::fprintf(stderr, "partial run (--max-chunks): journal kept at %s, no store written\n",
-                   options.journal_path.c_str());
+    if (!tools::ReportCampaignRun("sweep", "origins", stats, stats.origins_computed,
+                                  options.journal_path)) {
       return finish(0);
     }
     sweep::FinalizeSweepStore(out, table, options.journal_path);
