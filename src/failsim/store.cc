@@ -140,6 +140,9 @@ FailStore FailStore::Load(const std::string& path) {
 
   std::size_t offset = descs_end;
   auto read_column = [&](std::vector<double>& column) {
+    // A cell that collected no trials has an empty column whose data() may
+    // be null, which memcpy must not see even for zero bytes.
+    if (column.empty()) return;
     std::memcpy(column.data(), bytes.data() + offset, column.size() * sizeof(double));
     offset += column.size() * sizeof(double);
   };

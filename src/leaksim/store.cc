@@ -129,15 +129,16 @@ LeakStore LeakStore::Load(const std::string& path) {
   colstore::CheckFooter(path, bytes, kFormat);
 
   std::size_t offset = descs_end;
+  auto read_column = [&](std::vector<double>& column) {
+    // A cell that collected no trials has an empty column whose data() may
+    // be null, which memcpy must not see even for zero bytes.
+    if (column.empty()) return;
+    std::memcpy(column.data(), bytes.data() + offset, column.size() * sizeof(double));
+    offset += column.size() * sizeof(double);
+  };
   for (LeakCellResult& cell : table.cells) {
-    std::memcpy(cell.fraction_ases.data(), bytes.data() + offset,
-                cell.fraction_ases.size() * sizeof(double));
-    offset += cell.fraction_ases.size() * sizeof(double);
-    if (table.has_users) {
-      std::memcpy(cell.fraction_users.data(), bytes.data() + offset,
-                  cell.fraction_users.size() * sizeof(double));
-      offset += cell.fraction_users.size() * sizeof(double);
-    }
+    read_column(cell.fraction_ases);
+    if (table.has_users) read_column(cell.fraction_users);
   }
   LeakStore store;
   store.table_ = std::move(table);

@@ -78,6 +78,7 @@ std::size_t RunChunked(const ChunkedCampaign& campaign, const ChunkedOptions& op
 
   std::atomic<std::size_t> next_chunk{0};
   std::atomic<std::size_t> chunks_computed{0};
+  std::atomic<std::size_t> chunks_reserved{0};  // max_chunks budget claimed
   std::atomic<std::size_t> units_computed{0};
   std::atomic<bool> failed{false};
   std::mutex journal_mu;
@@ -98,13 +99,15 @@ std::size_t RunChunked(const ChunkedCampaign& campaign, const ChunkedOptions& op
     std::vector<std::uint32_t> payload;
     for (;;) {
       if (failed.load(std::memory_order_relaxed)) break;
-      if (options.max_chunks != 0 &&
-          chunks_computed.load(std::memory_order_relaxed) >= options.max_chunks) {
-        break;
-      }
       std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (chunk >= num_chunks) break;
       if (done[chunk]) continue;
+      // Reserve a slot of the max_chunks budget before evaluating, so
+      // concurrent workers cannot overshoot it.
+      if (options.max_chunks != 0 &&
+          chunks_reserved.fetch_add(1, std::memory_order_relaxed) >= options.max_chunks) {
+        break;
+      }
 
       obs::TraceSpan chunk_span(chunk_span_name);
       Stopwatch chunk_watch;

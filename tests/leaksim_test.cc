@@ -353,12 +353,26 @@ TEST_F(LeaksimTest, ZeroTrialCampaignIsEmptyNotAnError) {
   spec.victim = world().tiers.tier1[0];
   spec.seed = 3;
   spec.trials = 0;
+  std::vector<double> users(internet().num_ases(), 1.0);
+  LeakCampaignOptions options;
+  options.users = &users;
   LeakCampaignStats stats;
-  LeakTable table = RunLeakCampaign(internet(), {spec}, {}, &stats);
+  LeakTable table = RunLeakCampaign(internet(), {spec}, options, &stats);
   EXPECT_TRUE(stats.complete);
   EXPECT_EQ(stats.trials_evaluated, 0u);
   EXPECT_EQ(table.cells[0].collected(), 0u);
   EXPECT_FALSE(table.cells[0].UnderCollected());
+
+  // The empty cell's columns (both, with users) round-trip through the
+  // store as empty.
+  std::string path = TempPath("flatnet_leaksim_empty.leak");
+  leaksim::WriteLeakStore(path, table);
+  LeakStore store = LeakStore::Load(path);
+  ASSERT_EQ(store.num_cells(), 1u);
+  EXPECT_TRUE(store.has_users());
+  EXPECT_TRUE(store.cell(0).fraction_ases.empty());
+  EXPECT_TRUE(store.cell(0).fraction_users.empty());
+  std::filesystem::remove(path);
 }
 
 TEST_F(LeaksimTest, CampaignRejectsBadInputs) {

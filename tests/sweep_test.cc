@@ -2,11 +2,14 @@
 // checkpoint/resume (src/sweep/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bgp/reachability.h"
@@ -397,6 +400,40 @@ TEST(ChunkedDriver, ResumeChecksRecordRangeAndLength) {
   error = resume_error();
   EXPECT_NE(error.find(journal), std::string::npos) << error;
   EXPECT_NE(error.find("chunk 2 holds 3 values, expected 2"), std::string::npos) << error;
+  std::filesystem::remove(journal);
+}
+
+// max_chunks is a budget, not a hint: with more workers than the budget
+// and chunks slow enough that every worker is mid-claim at once, exactly
+// max_chunks chunks are computed and journaled.
+TEST(ChunkedDriver, MaxChunksIsExactUnderConcurrency) {
+  std::string journal = TempPath("chunked_max.journal");
+  SweepMeta meta;
+  meta.fingerprint = 0xb0d6e7;
+  meta.num_origins = 16;
+  meta.columns = 0x1;
+  meta.chunk_size = 2;
+  sweep::ChunkedCampaign campaign{"chunked_test", "units", "units_computed", "ChunkedTest"};
+  sweep::ChunkedOptions options;
+  options.threads = 4;
+  options.journal_path = journal;
+  options.max_chunks = 1;
+  auto make_evaluator = [] {
+    return sweep::ChunkEvaluator([](std::size_t, std::size_t len, std::uint32_t* payload) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::fill(payload, payload + len, 1u);
+    });
+  };
+  auto decode = [](std::size_t, std::size_t, const std::uint32_t*) {};
+
+  sweep::ChunkedStats stats;
+  sweep::RunChunked(campaign, options, [&] { return meta; }, make_evaluator, decode, &stats);
+  EXPECT_EQ(stats.chunks_computed, 1u);
+  EXPECT_FALSE(stats.complete);
+
+  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> records;
+  SweepJournal::Recover(journal, meta, &records).Close();
+  EXPECT_EQ(records.size(), 1u);
   std::filesystem::remove(journal);
 }
 

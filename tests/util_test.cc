@@ -6,6 +6,8 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "util/env.h"
 #include "util/epoch.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "util/narrow.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -551,6 +554,144 @@ TEST(CheckedNarrow, ThrowsNamingContextAndCount) {
     EXPECT_NE(what.find("AsGraphBuilder edge index"), std::string::npos) << what;
     EXPECT_NE(what.find("4294967296"), std::string::npos) << what;
   }
+}
+
+// Parses `args` (argv without the program name) against `flags`.
+int ParseArgs(FlagSet& flags, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return flags.Parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST(FlagSet, ParsesEveryKindIntoItsTarget) {
+  std::string stem, out, era = "2020";
+  std::uint32_t ases = 0;
+  std::optional<std::uint64_t> asn;
+  double trim = 0.0;
+  bool resume = false, timing = true;
+  std::vector<std::string> backends;
+  auto add_backend = [&](const std::string& v) {
+    backends.push_back(v);
+    return true;
+  };
+  enum class Lock { kNone, kT1 } lock = Lock::kNone;
+  FlagSet flags("prog");
+  flags.Positional("<stem>", &stem)
+      .String("--out", "<file>", &out)
+      .Choice("--era", {"2015", "2020"}, &era)
+      .Choice("--lock", {{"none", Lock::kNone}, {"t1", Lock::kT1}}, &lock)
+      .Unsigned("--ases", "N", &ases)
+      .Unsigned("--asn", "<asn>", &asn)
+      .Double("--trim", "F", &trim, 0.0, 0.4)
+      .Switch("--resume", &resume)
+      .Switch("--no-timing", &timing, false)
+      .Repeatable("--backend", "ADDR", add_backend);
+  ASSERT_EQ(ParseArgs(flags, {"--out", "-dash", "topo", "--era", "2015", "--lock", "t1"}), 0);
+  ASSERT_EQ(ParseArgs(flags, {"--ases", "4294967295", "--trim", "0.25", "--asn", "0"}), 0);
+  ASSERT_EQ(ParseArgs(flags, {"--resume", "--no-timing", "--backend", "a"}), 0);
+  ASSERT_EQ(ParseArgs(flags, {"--backend", "b"}), 0);
+  EXPECT_EQ(flags.error(), "");
+  EXPECT_EQ(stem, "topo");
+  EXPECT_EQ(out, "-dash");  // a value is taken verbatim, even with a leading '-'
+  EXPECT_EQ(era, "2015");
+  EXPECT_EQ(lock, Lock::kT1);
+  EXPECT_EQ(ases, 4294967295u);
+  ASSERT_TRUE(asn.has_value());  // an explicit 0 is told apart from absence
+  EXPECT_EQ(*asn, 0u);
+  EXPECT_DOUBLE_EQ(trim, 0.25);
+  EXPECT_TRUE(resume);
+  EXPECT_FALSE(timing);
+  EXPECT_EQ(backends, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(FlagSet, LastValueWinsAndAbsentFlagsKeepDefaults) {
+  std::uint64_t seed = 7;
+  std::uint64_t top = 10;
+  FlagSet flags("prog");
+  flags.Unsigned("--seed", "S", &seed).Unsigned("--top", "N", &top);
+  ASSERT_EQ(ParseArgs(flags, {"--seed", "1", "--seed", "2"}), 0);
+  EXPECT_EQ(seed, 2u);
+  EXPECT_EQ(top, 10u);
+}
+
+TEST(FlagSet, RejectsBadArgvWithExitCode2) {
+  std::uint32_t ases = 5;
+  std::uint32_t chunk = 5;
+  std::uint16_t port = 5;
+  std::string era = "2020";
+  double trim = 0.0;
+  auto parse_shard = [](const std::string& v) { return v == "0/1"; };
+  FlagSet flags("prog");
+  flags.Unsigned("--ases", "N", &ases)
+      .Unsigned("--chunk", "N", &chunk, 1)
+      .Unsigned("--port", "P", &port)
+      .Choice("--era", {"2015", "2020"}, &era)
+      .Double("--trim", "F", &trim, 0.0, 0.4)
+      .Repeatable("--shard", "I/N", parse_shard);
+  struct Case {
+    std::vector<const char*> args;
+    const char* reason;
+  };
+  const Case cases[] = {
+      {{"--ases"}, "--ases: missing value"},
+      {{"--ases", "12x"}, "not an unsigned integer"},
+      {{"--ases", "-1"}, "not an unsigned integer"},
+      {{"--ases", ""}, "not an unsigned integer"},
+      // Wider than the u32 target: rejected, never truncated to 0.
+      {{"--ases", "4294967296"}, "out of range [0, 4294967295]"},
+      {{"--chunk", "0"}, "out of range [1, 4294967295]"},
+      {{"--port", "65536"}, "out of range [0, 65535]"},
+      {{"--era", "2019"}, "is not one of 2015|2020"},
+      {{"--trim", "0.5"}, "out of range"},
+      {{"--trim", "abc"}, "not a number"},
+      {{"--shard", "1/1"}, "invalid value '1/1'"},
+      {{"--bogus"}, "unknown flag --bogus"},
+      {{"stray"}, "unexpected argument 'stray'"},
+      // The first error wins; later arguments are not parsed.
+      {{"--bogus", "--ases", "x"}, "unknown flag --bogus"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(ParseArgs(flags, c.args), FlagSet::kUsageExit) << c.reason;
+    EXPECT_NE(flags.error().find(c.reason), std::string::npos) << flags.error();
+  }
+  EXPECT_EQ(ases, 5u);
+  EXPECT_EQ(chunk, 5u);
+  EXPECT_EQ(port, 5u);
+  EXPECT_EQ(era, "2020");
+}
+
+TEST(FlagSet, RepeatableMayRejectWithAnErrorMessage) {
+  auto reject = [](const std::string& v) -> bool {
+    throw ParseError("backend address '" + v + "': bad port");
+  };
+  FlagSet flags("prog");
+  flags.Repeatable("--backends", "LIST", reject);
+  EXPECT_EQ(ParseArgs(flags, {"--backends", "h:0"}), FlagSet::kUsageExit);
+  EXPECT_EQ(flags.error(), "--backends: backend address 'h:0': bad port");
+}
+
+TEST(FlagSet, UsageIsBuiltFromTheTableAndWrapped) {
+  std::string stem;
+  std::uint64_t n = 0;
+  bool on = false;
+  std::string level;
+  FlagSet flags("flatnet_tool");
+  flags.Positional("<stem>", &stem).Unsigned("--threads", "N", &n).Switch("--resume", &on);
+  for (const char* name : {"--alpha", "--bravo", "--charlie", "--delta", "--echo"}) {
+    flags.Choice(name, {"trace", "debug", "info"}, &level);
+  }
+  std::string usage = flags.Usage();
+  EXPECT_EQ(usage.rfind("usage: flatnet_tool <stem> [--threads N] [--resume]", 0), 0u)
+      << usage;
+  EXPECT_NE(usage.find("[--echo trace|debug|info]"), std::string::npos) << usage;
+  std::size_t start = 0;
+  for (std::size_t nl = usage.find('\n'); nl != std::string::npos;
+       start = nl + 1, nl = usage.find('\n', start)) {
+    EXPECT_LE(nl - start, 80u) << usage;
+    if (start > 0) {
+      EXPECT_EQ(usage.compare(start, 20, std::string(20, ' ')), 0) << usage;
+    }
+  }
+  EXPECT_EQ(start, usage.size());  // ends with a newline
 }
 
 TEST(EpochStamps, TracksVisitsPerEpoch) {

@@ -14,43 +14,23 @@
 #include "core/internet.h"
 #include "sweep/chunked.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
 
 namespace flatnet::tools {
 
-enum class CampaignFlag { kNotOurs, kParsed, kBad };
-
-// Parses argv[*i] when it is one of --threads N, --chunk N (N > 0),
-// --resume, --throttle-chunk-ms MS, or --max-chunks N, into `options` and
-// `*chunk` (each campaign names its own chunk-size field), advancing *i
-// past the value. kBad means a missing or malformed value.
-inline CampaignFlag ParseCampaignFlag(int argc, char** argv, int* i,
-                                      sweep::ChunkedOptions* options, std::uint32_t* chunk) {
-  std::string arg = argv[*i];
-  if (arg == "--resume") {
-    options->resume = true;
-    return CampaignFlag::kParsed;
-  }
-  if (arg != "--threads" && arg != "--chunk" && arg != "--throttle-chunk-ms" &&
-      arg != "--max-chunks") {
-    return CampaignFlag::kNotOurs;
-  }
-  std::optional<std::uint64_t> value =
-      *i + 1 < argc ? ParseU64(argv[++*i]) : std::optional<std::uint64_t>();
-  if (!value) return CampaignFlag::kBad;
-  if (arg == "--threads") {
-    options->threads = *value;
-  } else if (arg == "--chunk") {
-    if (*value == 0) return CampaignFlag::kBad;
-    *chunk = static_cast<std::uint32_t>(*value);
-  } else if (arg == "--throttle-chunk-ms") {
-    options->throttle_chunk_ms = static_cast<std::uint32_t>(*value);
-  } else {
-    options->max_chunks = static_cast<std::uint32_t>(*value);
-  }
-  return CampaignFlag::kParsed;
+// Adds --threads N, --chunk N (N > 0), --resume, --throttle-chunk-ms MS
+// and --max-chunks N, targeting `options` and `*chunk` (each campaign
+// names its own chunk-size field).
+inline void AddCampaignFlags(FlagSet& flags, sweep::ChunkedOptions* options,
+                             std::uint32_t* chunk) {
+  flags.Unsigned("--threads", "N", &options->threads)
+      .Unsigned("--chunk", "N", chunk, 1)
+      .Switch("--resume", &options->resume)
+      .Unsigned("--throttle-chunk-ms", "MS", &options->throttle_chunk_ms)
+      .Unsigned("--max-chunks", "N", &options->max_chunks);
 }
 
 // Prints "<label>: N/M chunks computed (K resumed), U <unit> in Ss

@@ -10,13 +10,9 @@
 // of cases under ASan/UBSan; the full default sweep is the standing
 // regression gate for kernel refactors.
 //
-// Usage:
-//   flatnet_diffcheck [--cases N] [--seed S] [--min-ases A] [--max-ases B]
-//                     [--per-topology K] [--era 2020|2015|both]
-//                     [--log-level L] [--metrics-out <file>]
-//   flatnet_diffcheck
-//       --repro <era>:<topo-seed>:<ases>:<case-seed>:<excluded>:<lock>:<locked>:<senders>
-//   flatnet_diffcheck --graph-identity <file.graph>
+// A run draws --cases cases, --per-topology K per generated topology whose
+// size is drawn from --min-ases..--max-ases, from the --era 2020, 2015, or
+// both eras alternately.
 //
 // The --repro string is printed verbatim when a case fails; feeding it back
 // replays exactly that topology and configuration.
@@ -32,9 +28,9 @@
 
 #include "check/diff.h"
 #include "core/graph_store.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
+#include "obs_flags.h"
 #include "topogen/generate.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -53,19 +49,6 @@ struct DiffcheckCounters {
 DiffcheckCounters& Counters() {
   static DiffcheckCounters counters;
   return counters;
-}
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: flatnet_diffcheck [--cases N] [--seed S] [--min-ases A] [--max-ases B]\n"
-      "                         [--per-topology K] [--era 2020|2015|both]\n"
-      "                         [--log-level trace|debug|info|warn|error|off]\n"
-      "                         [--metrics-out <file>]\n"
-      "       flatnet_diffcheck --repro "
-      "<era>:<topo-seed>:<ases>:<case-seed>:<excluded>:<lock>:<locked>:<senders>\n"
-      "       flatnet_diffcheck --graph-identity <file.graph>\n");
-  return 2;
 }
 
 template <typename T>
@@ -147,16 +130,17 @@ bool RunCase(const World& world, const TopologyKey& topo, const check::DiffCaseC
   return false;
 }
 
-int RunRepro(const std::string& repro) {
+// Replays one --repro string; a malformed one is a usage error.
+int RunRepro(const std::string& repro, const FlagSet& flags) {
   auto fields = Split(repro, ':');
-  if (fields.size() != 8) return Usage();
+  if (fields.size() != 8) return flags.UsageError();
   TopologyKey topo;
   if (fields[0] == "2020") {
     topo.era2020 = true;
   } else if (fields[0] == "2015") {
     topo.era2020 = false;
   } else {
-    return Usage();
+    return flags.UsageError();
   }
   auto topo_seed = ParseU64(fields[1]);
   auto ases = ParseU64(fields[2]);
@@ -166,7 +150,7 @@ int RunRepro(const std::string& repro) {
   auto locked = ParseU64(fields[6]);
   auto senders = ParseU64(fields[7]);
   if (!topo_seed || !ases || !case_seed || !excluded || !lock || !locked || !senders) {
-    return Usage();
+    return flags.UsageError();
   }
   topo.topo_seed = *topo_seed;
   topo.ases = static_cast<std::uint32_t>(*ases);
@@ -196,61 +180,26 @@ int main(int argc, char** argv) {
   std::string era = "both";
   std::string repro;
   std::string graph_identity;
-  std::string metrics_out;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (parsed) *out = *parsed;
-      return parsed.has_value();
-    };
-    if (arg == "--cases") {
-      if (!next_u64(&cases)) return Usage();
-    } else if (arg == "--seed") {
-      if (!next_u64(&seed)) return Usage();
-    } else if (arg == "--min-ases") {
-      if (!next_u64(&min_ases)) return Usage();
-    } else if (arg == "--max-ases") {
-      if (!next_u64(&max_ases)) return Usage();
-    } else if (arg == "--per-topology") {
-      if (!next_u64(&per_topology)) return Usage();
-    } else if (arg == "--era") {
-      const char* v = next();
-      if (!v) return Usage();
-      era = v;
-      if (era != "2020" && era != "2015" && era != "both") return Usage();
-    } else if (arg == "--repro") {
-      const char* v = next();
-      if (!v) return Usage();
-      repro = v;
-    } else if (arg == "--graph-identity") {
-      const char* v = next();
-      if (!v) return Usage();
-      graph_identity = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else {
-      return Usage();
-    }
+  FlagSet flags("flatnet_diffcheck");
+  flags.Unsigned("--cases", "N", &cases)
+      .Unsigned("--seed", "S", &seed)
+      .Unsigned("--min-ases", "A", &min_ases)
+      .Unsigned("--max-ases", "B", &max_ases)
+      .Unsigned("--per-topology", "K", &per_topology)
+      .Choice("--era", {"2020", "2015", "both"}, &era)
+      .String("--repro",
+              "<era>:<topo-seed>:<ases>:<case-seed>:<excluded>:<lock>:<locked>:<senders>",
+              &repro)
+      .String("--graph-identity", "<file.graph>", &graph_identity);
+  tools::ObsFlags obs_flags(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
+  if (min_ases < 50 || max_ases < min_ases || per_topology == 0 || cases == 0) {
+    return flags.UsageError();
   }
-  if (min_ases < 50 || max_ases < min_ases || per_topology == 0 || cases == 0) return Usage();
 
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
-  if (!graph_identity.empty()) return finish(RunGraphIdentity(graph_identity));
-  if (!repro.empty()) return finish(RunRepro(repro));
+  if (!graph_identity.empty()) return obs_flags.Finish(RunGraphIdentity(graph_identity));
+  if (!repro.empty()) return obs_flags.Finish(RunRepro(repro, flags));
 
   Rng master(seed);
   Stopwatch total;
@@ -298,5 +247,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(done),
               static_cast<unsigned long long>(topologies),
               static_cast<unsigned long long>(failures), total.ElapsedSeconds());
-  return finish(failures == 0 ? 0 : 1);
+  return obs_flags.Finish(failures == 0 ? 0 : 1);
 }

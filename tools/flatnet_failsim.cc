@@ -5,25 +5,24 @@
 //
 //   Hegemony (--hegemony): prints the top --top ASes by hegemony score
 //   for one origin — the transit ASes the origin's routes depend on,
-//   viewpoint-trimmed per Fontugne et al.
-//     flatnet_failsim <stem> --hegemony --origin <asn> [--top N] [--trim F]
+//   viewpoint-trimmed per Fontugne et al. (--trim F of the viewpoints at
+//   each end, 0 <= F < 0.5).
 //
 //   Campaign (default): origins x scenarios, evaluated by the parallel
 //   engine (src/failsim/) and published as a columnar `.fail` store that
 //   flatnet_serve answers ranking/series queries from (`hegemony` and
 //   `failure` ops). Origins come from --origin (pinned) or --origins N
 //   (drawn without replacement from the master seed). Results are
-//   byte-identical at any --threads and --chunk value.
-//     flatnet_failsim <stem> [--origins N | --origin <asn>] [--trials N]
-//                     [--seed S] [--scenarios LIST] [--severity K]
-//                     [--threads N] [--chunk N] [--out <file>] [--resume]
-//                     [--users] [--trim F]
+//   byte-identical at any --threads and --chunk value. --scenarios takes
+//   a comma-separated subset of single_as,tier1,hegemony_cascade,link_set
+//   (default all four); --severity K sizes the link_set failures.
 //
 // Completed chunks are journaled to <out>.journal, so a killed campaign
 // restarted with --resume recomputes only the missing chunks and produces
 // a byte-identical store. --throttle-chunk-ms and --max-chunks are test
 // hooks (slow the run so a kill can land mid-run / stop after N chunks).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -35,30 +34,17 @@
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "failsim/engine.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs_flags.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
 using namespace flatnet;
 
 namespace {
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: flatnet_failsim <stem> [--origins N | --origin <asn>] [--trials N]\n"
-      "                       [--seed S] [--scenarios single_as,tier1,hegemony_cascade,\n"
-      "                        link_set] [--severity K] [--threads N] [--chunk N]\n"
-      "                       [--out <file>] [--resume] [--users] [--trim F]\n"
-      "                       [--throttle-chunk-ms MS] [--max-chunks N]\n"
-      "                       [--log-level <level>] [--metrics-out <file>]\n"
-      "       flatnet_failsim <stem> --hegemony --origin <asn> [--top N] [--trim F]\n"
-      "                       [--log-level <level>] [--metrics-out <file>]\n");
-  return 2;
-}
 
 bool ParseScenarios(const std::string& list, std::vector<failsim::FailScenario>* out) {
   out->clear();
@@ -88,7 +74,6 @@ bool ParseScenarios(const std::string& list, std::vector<failsim::FailScenario>*
 int main(int argc, char** argv) {
   std::string stem;
   std::string out;
-  std::string metrics_out;
   std::optional<std::uint64_t> origin_asn;
   std::size_t trials = 32;
   std::size_t origins = 0;
@@ -105,73 +90,28 @@ int main(int argc, char** argv) {
   };
   failsim::FailCampaignOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* value) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *value = *parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
-    if (auto flag = tools::ParseCampaignFlag(argc, argv, &i, &options, &options.chunk_trials);
-        flag != tools::CampaignFlag::kNotOurs) {
-      if (flag == tools::CampaignFlag::kBad) return Usage();
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return Usage();
-      out = v;
-    } else if (arg == "--origin") {
-      if (!next_u64(&value)) return Usage();
-      origin_asn = value;
-    } else if (arg == "--origins") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      origins = static_cast<std::size_t>(value);
-    } else if (arg == "--trials") {
-      if (!next_u64(&value)) return Usage();
-      trials = static_cast<std::size_t>(value);
-    } else if (arg == "--seed") {
-      if (!next_u64(&value)) return Usage();
-      seed = value;
-    } else if (arg == "--top") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      top = static_cast<std::size_t>(value);
-    } else if (arg == "--severity") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      severity = static_cast<std::uint32_t>(value);
-    } else if (arg == "--trim") {
-      const char* v = next();
-      auto parsed = v ? ParseDouble(v) : std::nullopt;
-      if (!parsed || *parsed < 0.0 || *parsed >= 0.5) return Usage();
-      options.hegemony_trim = *parsed;
-    } else if (arg == "--hegemony") {
-      hegemony_mode = true;
-    } else if (arg == "--users") {
-      use_users = true;
-    } else if (arg == "--scenarios") {
-      const char* v = next();
-      if (!v || !ParseScenarios(v, &scenarios)) return Usage();
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
-    }
-  }
-  if (stem.empty()) return Usage();
+  auto parse_scenarios = [&](const std::string& v) { return ParseScenarios(v, &scenarios); };
+  FlagSet flags("flatnet_failsim");
+  flags.Positional("<stem>", &stem)
+      .Switch("--hegemony", &hegemony_mode)
+      .Unsigned("--origin", "<asn>", &origin_asn)
+      .Unsigned("--origins", "N", &origins, 1)
+      .Unsigned("--top", "N", &top, 1)
+      // The hegemony trim fraction: 0 <= F < 0.5.
+      .Double("--trim", "F", &options.hegemony_trim, 0.0, std::nextafter(0.5, 0.0))
+      .Unsigned("--trials", "N", &trials)
+      .Unsigned("--seed", "S", &seed)
+      .Repeatable("--scenarios", "single_as,tier1,hegemony_cascade,link_set", parse_scenarios)
+      .Unsigned("--severity", "K", &severity, 1)
+      .Switch("--users", &use_users)
+      .String("--out", "<file>", &out);
+  tools::AddCampaignFlags(flags, &options, &options.chunk_trials);
+  tools::ObsFlags obs_flags(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
+  if (stem.empty()) return flags.UsageError();
   if (hegemony_mode && !origin_asn.has_value()) {
     std::fprintf(stderr, "flatnet_failsim: --hegemony requires --origin\n");
-    return Usage();
+    return flags.UsageError();
   }
   if (origin_asn.has_value() && *origin_asn == 0) {
     // ASN 0 is reserved (RFC 7607) and never appears in a topology.
@@ -184,12 +124,7 @@ int main(int argc, char** argv) {
   obs::InstallCrashHandlerFromEnv();
   // Republishes --metrics-out on the FLATNET_METRICS_INTERVAL cadence so a
   // collector can watch a long campaign live; no-op when either is unset.
-  obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
-
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
+  obs::MetricsFlusher flusher(obs_flags.metrics_out(), obs::MetricsFlusher::IntervalFromEnv());
 
   try {
     Internet internet = LoadInternetAuto(stem);
@@ -212,7 +147,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(internet.graph().AsnOf(a)),
                     internet.NameOf(a).c_str(), result.hegemony[a]);
       }
-      return finish(0);
+      return obs_flags.Finish(0);
     }
 
     // Campaign mode: origins x scenarios. The master seed drives both the
@@ -250,7 +185,7 @@ int main(int argc, char** argv) {
     failsim::FailTable table = failsim::RunFailureCampaign(internet, cells, options, &stats);
     if (!tools::ReportCampaignRun("campaign", "trials", stats, stats.trials_evaluated,
                                   options.journal_path)) {
-      return finish(0);
+      return obs_flags.Finish(0);
     }
 
     for (const failsim::FailCellResult& cell : table.cells) {
@@ -270,7 +205,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out.c_str());
   } catch (const Error& e) {
     std::fprintf(stderr, "flatnet_failsim: %s\n", e.what());
-    return finish(1);
+    return obs_flags.Finish(1);
   }
-  return finish(0);
+  return obs_flags.Finish(0);
 }

@@ -5,9 +5,6 @@
 // store that flatnet_serve / flatnet_sweep memory-map without rebuilding
 // adjacency.
 //
-// Usage: flatnet_gen [--era 2015|2020] [--ases N] [--seed S]
-//                    [--truth] [--world-only] [--graph-out <file.graph>]
-//                    [--stream-budget-mb N] [--no-prefixes] [<output-stem>]
 //   --truth       exports the ground-truth topology instead of the measured
 //                 (BGP + inferred cloud neighbors) analysis topology.
 //   --world-only  skips the traceroute campaign entirely and exports the
@@ -25,30 +22,18 @@
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "core/study.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
+#include "obs_flags.h"
+#include "util/flags.h"
 #include "util/stopwatch.h"
-#include "util/strings.h"
 
 using namespace flatnet;
 
 namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_gen [--era 2015|2020] [--ases N] [--seed S] [--truth]\n"
-               "                   [--world-only] [--graph-out <file.graph>]\n"
-               "                   [--stream-budget-mb N] [--no-prefixes]\n"
-               "                   [--log-level <level>] [--metrics-out <file>]\n"
-               "                   [<output-stem>]\n");
-  return 2;
-}
 
 long PeakRssKb() {
   struct rusage usage;
@@ -68,59 +53,20 @@ int main(int argc, char** argv) {
   bool no_prefixes = false;
   std::string stem;
   std::string graph_out;
-  std::string metrics_out;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--era") {
-      const char* v = next();
-      if (!v || (std::strcmp(v, "2015") != 0 && std::strcmp(v, "2020") != 0)) return Usage();
-      era = v;
-    } else if (arg == "--ases") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      ases = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      seed = *parsed;
-    } else if (arg == "--stream-budget-mb") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      stream_budget_mb = *parsed;
-    } else if (arg == "--graph-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      graph_out = v;
-    } else if (arg == "--truth") {
-      use_truth = true;
-    } else if (arg == "--world-only") {
-      world_only = true;
-    } else if (arg == "--no-prefixes") {
-      no_prefixes = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
-    }
-  }
-  if (stem.empty() && graph_out.empty()) return Usage();
+  FlagSet flags("flatnet_gen");
+  flags.Positional("[<output-stem>]", &stem)
+      .Choice("--era", {"2015", "2020"}, &era)
+      .Unsigned("--ases", "N", &ases)
+      .Unsigned("--seed", "S", &seed)
+      .Switch("--truth", &use_truth)
+      .Switch("--world-only", &world_only)
+      .String("--graph-out", "<file.graph>", &graph_out)
+      .Unsigned("--stream-budget-mb", "N", &stream_budget_mb)
+      .Switch("--no-prefixes", &no_prefixes);
+  tools::ObsFlags obs_flags(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
+  if (stem.empty() && graph_out.empty()) return flags.UsageError();
 
   GeneratorParams generator =
       era == "2015" ? GeneratorParams::Era2015(ases) : GeneratorParams::Era2020(ases);
@@ -162,6 +108,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ReadGraphStoreFingerprint(graph_out)), flavor);
   }
   std::fprintf(stderr, "generated in %.2fs, peak RSS %ld KB\n", generate_s, PeakRssKb());
-  if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-  return 0;
+  return obs_flags.Finish(0);
 }

@@ -3,10 +3,9 @@
 //
 // Two modes:
 //
-//   Single victim (default): one (victim, scenario) series, serial.
-//     flatnet_leaksim <stem> --victim <asn> [--trials N] [--seed S]
-//                     [--lock none|t1|t1t2|global] [--hierarchy-only]
-//                     [--pre-erratum]
+//   Single victim (default): one (victim, scenario) series, serial. The
+//   scenario is announce-all under peer locking --lock (default none), or
+//   --hierarchy-only.
 //
 //   Campaign (--campaign): victims x all five scenarios, evaluated by the
 //   parallel engine (src/leaksim/) and published as a columnar `.leak`
@@ -14,9 +13,10 @@
 //   op). Victims come from --victim (pinned) or --victims N (drawn
 //   without replacement from the master seed). Results are byte-identical
 //   at any --threads value and equal to the serial mode per cell.
-//     flatnet_leaksim <stem> --campaign [--victims N | --victim <asn>]
-//                     [--trials N] [--seed S] [--threads N] [--chunk N]
-//                     [--out <file>] [--resume] [--users] [--pre-erratum]
+//   --users adds user-weighted detour fractions to the store.
+//
+//   Both modes take --trials and --seed; --pre-erratum runs the direct-only
+//   peer-lock model the paper used before its erratum.
 //
 // Completed chunks are journaled to <out>.journal, so a killed campaign
 // restarted with --resume recomputes only the missing chunks and produces
@@ -26,17 +26,19 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign_cli.h"
-#include "core/leak_scenarios.h"
 #include "core/graph_store.h"
+#include "core/leak_scenarios.h"
 #include "core/serialize.h"
 #include "leaksim/engine.h"
-#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs_flags.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -44,24 +46,18 @@ using namespace flatnet;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_leaksim <stem> --victim <asn> [--trials N] [--seed S]\n"
-               "                       [--lock none|t1|t1t2|global] [--hierarchy-only]\n"
-               "                       [--pre-erratum] [--log-level <level>]\n"
-               "                       [--metrics-out <file>]\n"
-               "       flatnet_leaksim <stem> --campaign [--victims N | --victim <asn>]\n"
-               "                       [--trials N] [--seed S] [--threads N] [--chunk N]\n"
-               "                       [--out <file>] [--resume] [--users] [--pre-erratum]\n"
-               "                       [--throttle-chunk-ms MS] [--max-chunks N]\n"
-               "                       [--log-level <level>] [--metrics-out <file>]\n");
-  return 2;
-}
-
 constexpr LeakScenario kAllScenarios[kNumLeakScenarios] = {
     LeakScenario::kAnnounceAll,           LeakScenario::kAnnounceAllLockT1,
     LeakScenario::kAnnounceAllLockT1T2,   LeakScenario::kAnnounceAllLockGlobal,
     LeakScenario::kAnnounceHierarchyOnly,
+};
+
+// --lock: announce-all under each peer-locking level.
+constexpr std::pair<const char*, LeakScenario> kLockChoices[] = {
+    {"none", LeakScenario::kAnnounceAll},
+    {"t1", LeakScenario::kAnnounceAllLockT1},
+    {"t1t2", LeakScenario::kAnnounceAllLockT1T2},
+    {"global", LeakScenario::kAnnounceAllLockGlobal},
 };
 
 void WarnUnderCollected(AsId victim, Asn asn, LeakScenario scenario, std::size_t collected,
@@ -80,7 +76,6 @@ void WarnUnderCollected(AsId victim, Asn asn, LeakScenario scenario, std::size_t
 int main(int argc, char** argv) {
   std::string stem;
   std::string out;
-  std::string metrics_out;
   std::optional<std::uint64_t> victim_asn;
   std::size_t trials = 500;
   std::size_t victims = 0;
@@ -89,80 +84,28 @@ int main(int argc, char** argv) {
   bool hierarchy_only = false;
   bool campaign = false;
   bool use_users = false;
-  PeerLockMode mode = PeerLockMode::kFull;
+  bool pre_erratum = false;
   leaksim::LeakCampaignOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* value) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *value = *parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
-    if (auto flag = tools::ParseCampaignFlag(argc, argv, &i, &options, &options.chunk_trials);
-        flag != tools::CampaignFlag::kNotOurs) {
-      if (flag == tools::CampaignFlag::kBad) return Usage();
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return Usage();
-      out = v;
-    } else if (arg == "--victim") {
-      if (!next_u64(&value)) return Usage();
-      victim_asn = value;
-    } else if (arg == "--victims") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      victims = static_cast<std::size_t>(value);
-    } else if (arg == "--trials") {
-      if (!next_u64(&value)) return Usage();
-      trials = static_cast<std::size_t>(value);
-    } else if (arg == "--seed") {
-      if (!next_u64(&value)) return Usage();
-      seed = value;
-    } else if (arg == "--campaign") {
-      campaign = true;
-    } else if (arg == "--users") {
-      use_users = true;
-    } else if (arg == "--lock") {
-      const char* v = next();
-      std::string lock = v ? v : "";
-      if (lock == "none") {
-        scenario = LeakScenario::kAnnounceAll;
-      } else if (lock == "t1") {
-        scenario = LeakScenario::kAnnounceAllLockT1;
-      } else if (lock == "t1t2") {
-        scenario = LeakScenario::kAnnounceAllLockT1T2;
-      } else if (lock == "global") {
-        scenario = LeakScenario::kAnnounceAllLockGlobal;
-      } else {
-        return Usage();
-      }
-    } else if (arg == "--hierarchy-only") {
-      hierarchy_only = true;
-    } else if (arg == "--pre-erratum") {
-      mode = PeerLockMode::kDirectOnly;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
-    }
-  }
-  if (stem.empty()) return Usage();
+  FlagSet flags("flatnet_leaksim");
+  flags.Positional("<stem>", &stem)
+      .Unsigned("--victim", "<asn>", &victim_asn)
+      .Switch("--campaign", &campaign)
+      .Unsigned("--victims", "N", &victims, 1)
+      .Unsigned("--trials", "N", &trials)
+      .Unsigned("--seed", "S", &seed)
+      .Choice("--lock", kLockChoices, &scenario)
+      .Switch("--hierarchy-only", &hierarchy_only)
+      .Switch("--pre-erratum", &pre_erratum)
+      .Switch("--users", &use_users)
+      .String("--out", "<file>", &out);
+  tools::AddCampaignFlags(flags, &options, &options.chunk_trials);
+  tools::ObsFlags obs_flags(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
+  if (stem.empty()) return flags.UsageError();
   if (!campaign && !victim_asn.has_value()) {
     std::fprintf(stderr, "flatnet_leaksim: --victim is required (or use --campaign)\n");
-    return Usage();
+    return flags.UsageError();
   }
   if (victim_asn.has_value() && *victim_asn == 0) {
     // ASN 0 is reserved (RFC 7607) and never appears in a topology; the
@@ -173,17 +116,13 @@ int main(int argc, char** argv) {
   }
   if (campaign && victims == 0 && !victim_asn.has_value()) victims = 5;
   if (hierarchy_only) scenario = LeakScenario::kAnnounceHierarchyOnly;
+  PeerLockMode mode = pre_erratum ? PeerLockMode::kDirectOnly : PeerLockMode::kFull;
 
   obs::RegisterCoreMetrics();
   obs::InstallCrashHandlerFromEnv();
   // Republishes --metrics-out on the FLATNET_METRICS_INTERVAL cadence so a
   // collector can watch a long campaign live; no-op when either is unset.
-  obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
-
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
+  obs::MetricsFlusher flusher(obs_flags.metrics_out(), obs::MetricsFlusher::IntervalFromEnv());
 
   try {
     Internet internet = LoadInternetAuto(stem);
@@ -204,16 +143,16 @@ int main(int argc, char** argv) {
       if (series.collected() == 0) {
         if (series.trials_requested == 0) {
           std::printf("ASes detoured: no trials requested\n");
-          return finish(0);
+          return obs_flags.Finish(0);
         }
         std::fprintf(stderr,
                      "no valid leak trials collected in %zu draws (every drawn AS lacked a "
                      "route to the victim)\n",
                      series.attempts);
-        return finish(1);
+        return obs_flags.Finish(1);
       }
       tools::PrintSeries("ASes detoured:", series.fraction_ases_detoured);
-      return finish(0);
+      return obs_flags.Finish(0);
     }
 
     // Campaign mode: victims x all scenarios. The master seed drives both
@@ -252,7 +191,7 @@ int main(int argc, char** argv) {
     leaksim::LeakTable table = leaksim::RunLeakCampaign(internet, cells, options, &stats);
     if (!tools::ReportCampaignRun("campaign", "trials", stats, stats.trials_evaluated,
                                   options.journal_path)) {
-      return finish(0);
+      return obs_flags.Finish(0);
     }
 
     for (const leaksim::LeakCellResult& cell : table.cells) {
@@ -270,7 +209,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", out.c_str());
   } catch (const Error& e) {
     std::fprintf(stderr, "flatnet_leaksim: %s\n", e.what());
-    return finish(1);
+    return obs_flags.Finish(1);
   }
-  return finish(0);
+  return obs_flags.Finish(0);
 }

@@ -40,14 +40,9 @@
 // `unavailable` responses are expected while a shard is down, so in fleet
 // mode they are counted separately instead of as hard errors.
 //
-// Usage:
-//   flatnet_loadgen --topology <stem> (--port P | --port-file <file>)
-//                   [--host ADDR] [--requests N] [--connections C]
-//                   [--seed S] [--verify K] [--no-timing] [--fleet]
-//                   [--log-level <level>]
-//
-// Exits nonzero on any protocol error, transport failure, or verification
-// mismatch.
+// --topology and exactly one of --port / --port-file (which holds the
+// port a server published) are required. Exits nonzero on any protocol
+// error, transport failure, or verification mismatch.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -69,8 +64,9 @@
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "fleet/ring.h"
-#include "obs/log.h"
+#include "obs_flags.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -79,15 +75,6 @@
 using namespace flatnet;
 
 namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_loadgen --topology <stem> (--port P | --port-file <file>)\n"
-               "                       [--host ADDR] [--requests N] [--connections C]\n"
-               "                       [--seed S] [--verify K] [--no-timing] [--fleet]\n"
-               "                       [--log-level <level>]\n");
-  return 2;
-}
 
 // One blocking line-oriented client connection.
 class Client {
@@ -373,52 +360,20 @@ int main(int argc, char** argv) {
   bool timing = true;
   bool fleet_mode = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *out = *parsed;
-      return true;
-    };
-    if (arg == "--topology") {
-      const char* v = next();
-      if (!v) return Usage();
-      stem = v;
-    } else if (arg == "--host") {
-      const char* v = next();
-      if (!v) return Usage();
-      host = v;
-    } else if (arg == "--port") {
-      if (!next_u64(&port) || port == 0 || port > 65535) return Usage();
-    } else if (arg == "--port-file") {
-      const char* v = next();
-      if (!v) return Usage();
-      port_file = v;
-    } else if (arg == "--requests") {
-      if (!next_u64(&requests) || requests == 0) return Usage();
-    } else if (arg == "--connections") {
-      if (!next_u64(&connections) || connections == 0) return Usage();
-    } else if (arg == "--seed") {
-      if (!next_u64(&seed)) return Usage();
-    } else if (arg == "--verify") {
-      if (!next_u64(&verify)) return Usage();
-    } else if (arg == "--no-timing") {
-      timing = false;
-    } else if (arg == "--fleet") {
-      fleet_mode = true;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else {
-      return Usage();
-    }
-  }
-  if (stem.empty() || (port == 0) == port_file.empty()) return Usage();
+  FlagSet flags("flatnet_loadgen");
+  flags.String("--topology", "<stem>", &stem)
+      .Unsigned("--port", "P", &port, 1, 65535)
+      .String("--port-file", "<file>", &port_file)
+      .String("--host", "ADDR", &host)
+      .Unsigned("--requests", "N", &requests, 1)
+      .Unsigned("--connections", "C", &connections, 1)
+      .Unsigned("--seed", "S", &seed)
+      .Unsigned("--verify", "K", &verify)
+      .Switch("--no-timing", &timing, false)
+      .Switch("--fleet", &fleet_mode);
+  tools::AddLogLevelFlag(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
+  if (stem.empty() || (port == 0) == port_file.empty()) return flags.UsageError();
   if (!port_file.empty()) {
     std::ifstream in(port_file);
     if (!(in >> port) || port == 0 || port > 65535) {

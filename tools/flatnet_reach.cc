@@ -1,10 +1,6 @@
 // flatnet_reach: compute the paper's reachability metrics from on-disk
-// topology files.
-//
-// Usage:
-//   flatnet_reach <stem> --asn <asn>        one origin's three metrics
-//   flatnet_reach <stem> --top N            top-N by hierarchy-free reach
-//                 [--threads N]             sweep parallelism (0 = all cores)
+// topology files: one origin's three metrics (--asn), or the top N ASes by
+// hierarchy-free reach (--top), swept on --threads workers (0 = all cores).
 //
 // <stem> names a pair written by flatnet_gen / SaveInternet
 // (<stem>.as-rel.txt + <stem>.meta.tsv). For raw CAIDA files without a
@@ -18,81 +14,34 @@
 
 #include "asgraph/caida.h"
 #include "asgraph/tiers.h"
-#include "core/reachability_analysis.h"
 #include "core/graph_store.h"
+#include "core/reachability_analysis.h"
 #include "core/serialize.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
+#include "obs_flags.h"
 #include "sweep/engine.h"
+#include "util/flags.h"
 #include "util/strings.h"
 #include "util/table.h"
 
 using namespace flatnet;
 
-namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_reach (<stem> | --rel <caida-file>) (--asn <asn> | --top N)\n"
-               "                     [--threads N]\n"
-               "                     [--log-level trace|debug|info|warn|error|off]\n"
-               "                     [--metrics-out <file>]\n");
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::string stem;
   std::string rel_file;
-  std::string metrics_out;
   std::uint64_t asn = 0;
   std::uint64_t top = 0;
   std::uint64_t threads = 0;  // 0 = hardware concurrency
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--rel") {
-      const char* v = next();
-      if (!v) return Usage();
-      rel_file = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--asn") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      asn = *parsed;
-    } else if (arg == "--top") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      top = *parsed;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      threads = *parsed;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
-    }
-  }
-  if ((stem.empty() == rel_file.empty()) || (asn == 0 && top == 0)) return Usage();
-
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
+  FlagSet flags("flatnet_reach");
+  flags.Positional("<stem>", &stem)
+      .String("--rel", "<caida-file>", &rel_file)
+      .Unsigned("--asn", "<asn>", &asn)
+      .Unsigned("--top", "N", &top)
+      .Unsigned("--threads", "N", &threads);
+  tools::ObsFlags obs_flags(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
+  // Exactly one of <stem> / --rel, and at least one of --asn / --top.
+  if ((stem.empty() == rel_file.empty()) || (asn == 0 && top == 0)) return flags.UsageError();
 
   Internet internet;
   if (!stem.empty()) {
@@ -113,7 +62,7 @@ int main(int argc, char** argv) {
     if (!id) {
       std::fprintf(stderr, "AS%llu not present in the topology\n",
                    static_cast<unsigned long long>(asn));
-      return finish(1);
+      return obs_flags.Finish(1);
     }
     ReachabilitySummary r = AnalyzeReachability(internet, *id);
     double denom = static_cast<double>(internet.num_ases() - 1);
@@ -125,7 +74,7 @@ int main(int argc, char** argv) {
                 WithCommas(r.tier1_free).c_str(), 100 * r.tier1_free / denom);
     std::printf("  hierarchy-free reach(o, I\\Po\\T1\\T2):  %s (%.1f%%)\n",
                 WithCommas(r.hierarchy_free).c_str(), 100 * r.hierarchy_free / denom);
-    return finish(0);
+    return obs_flags.Finish(0);
   }
 
   // The sharded engine returns element-identical results to the serial
@@ -148,5 +97,5 @@ int main(int argc, char** argv) {
                   internet.NameOf(id), WithCommas(sweep[id])});
   }
   table.Print(stdout);
-  return finish(0);
+  return obs_flags.Finish(0);
 }

@@ -9,36 +9,25 @@
 // `partial: true` instead of errors; a restarted shard heals back in via
 // the background prober. See src/fleet/router.h for the routing table.
 //
-// Usage:
-//   flatnet_router --backends HOST:PORT,HOST:PORT,...
-//                  [--port P] [--bind ADDR] [--port-file <file>]
-//                  [--vnodes N] [--probe-interval-ms MS]
-//                  [--request-timeout-ms MS] [--no-hedging]
-//                  [--hedge-multiplier X] [--hedge-min-ms MS]
-//                  [--hedge-max-ms MS] [--max-connections N]
-//                  [--log-level <level>] [--metrics-out <file>]
-//
-// --backends lists the shards in ring order: the i-th address must be the
-// backend started with --shard i/N (the ownership ring is derived from the
-// count, so order is identity). A backend may also be given as a bare port
-// (127.0.0.1 assumed). Hedging re-issues a slow compute query to the next
-// distinct live shard once the owner has been silent for
-// multiplier x its EWMA latency (clamped to [min,max]); first response
-// wins.
+// --backends (required) lists the shards in ring order: the i-th address
+// must be the backend started with --shard i/N (the ownership ring is
+// derived from the count, so order is identity). A backend may also be
+// given as a bare port (127.0.0.1 assumed). Hedging re-issues a slow
+// compute query to the next distinct live shard once the owner has been
+// silent for multiplier x its EWMA latency (clamped to [min,max]); first
+// response wins.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "fleet/router.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs_flags.h"
 #include "serve/server.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "util/strings.h"
 
 using namespace flatnet;
@@ -51,111 +40,50 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestShutdown();  // one atomic store
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_router --backends HOST:PORT,HOST:PORT,...\n"
-               "                      [--port P] [--bind ADDR] [--port-file <file>]\n"
-               "                      [--vnodes N] [--probe-interval-ms MS]\n"
-               "                      [--request-timeout-ms MS] [--no-hedging]\n"
-               "                      [--hedge-multiplier X] [--hedge-min-ms MS]\n"
-               "                      [--hedge-max-ms MS] [--max-connections N]\n"
-               "                      [--log-level <level>] [--metrics-out <file>]\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   fleet::RouterOptions router_options;
   std::string bind_address = "127.0.0.1";
-  std::uint64_t port = 0;
+  std::uint16_t port = 0;
   std::string port_file;
-  std::string metrics_out;
   std::uint64_t max_connections = 0;
+  std::uint64_t probe_interval_ms = router_options.probe_interval.count();
+  std::uint64_t request_timeout_ms = router_options.request_timeout.count();
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *out = *parsed;
-      return true;
-    };
-    auto next_double = [&](double* out) {
-      const char* v = next();
-      if (!v) return false;
-      char* end = nullptr;
-      double parsed = std::strtod(v, &end);
-      if (end == v || *end != '\0' || parsed < 0) return false;
-      *out = parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
-    try {
-      if (arg == "--backends") {
-        const char* v = next();
-        if (!v) return Usage();
-        for (std::string_view part : Split(v, ',')) {
-          if (part.empty()) continue;
-          router_options.backends.push_back(fleet::ParseBackendAddress(std::string(part)));
-        }
-      } else if (arg == "--backend") {
-        // Repeatable single-address form, for scripts that build the list.
-        const char* v = next();
-        if (!v) return Usage();
-        router_options.backends.push_back(fleet::ParseBackendAddress(v));
-      } else if (arg == "--port") {
-        if (!next_u64(&port) || port > 65535) return Usage();
-      } else if (arg == "--bind") {
-        const char* v = next();
-        if (!v) return Usage();
-        bind_address = v;
-      } else if (arg == "--port-file") {
-        const char* v = next();
-        if (!v) return Usage();
-        port_file = v;
-      } else if (arg == "--vnodes") {
-        if (!next_u64(&value) || value == 0) return Usage();
-        router_options.vnodes = value;
-      } else if (arg == "--probe-interval-ms") {
-        if (!next_u64(&value) || value == 0) return Usage();
-        router_options.probe_interval = std::chrono::milliseconds(value);
-      } else if (arg == "--request-timeout-ms") {
-        if (!next_u64(&value) || value == 0) return Usage();
-        router_options.request_timeout = std::chrono::milliseconds(value);
-      } else if (arg == "--no-hedging") {
-        router_options.hedging = false;
-      } else if (arg == "--hedge-multiplier") {
-        if (!next_double(&router_options.hedge.multiplier)) return Usage();
-      } else if (arg == "--hedge-min-ms") {
-        if (!next_double(&router_options.hedge.min_ms)) return Usage();
-      } else if (arg == "--hedge-max-ms") {
-        if (!next_double(&router_options.hedge.max_ms)) return Usage();
-      } else if (arg == "--max-connections") {
-        if (!next_u64(&max_connections)) return Usage();
-      } else if (arg == "--log-level") {
-        const char* v = next();
-        auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-        if (!level) return Usage();
-        obs::SetLogLevel(*level);
-      } else if (arg == "--metrics-out") {
-        const char* v = next();
-        if (!v) return Usage();
-        metrics_out = v;
-      } else {
-        return Usage();
-      }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s: %s\n", arg.c_str(), e.what());
-      return Usage();
+  auto add_backend = [&](std::string_view address) {
+    router_options.backends.push_back(fleet::ParseBackendAddress(std::string(address)));
+    return true;
+  };
+  auto add_backends = [&](const std::string& list) {
+    for (std::string_view part : Split(list, ',')) {
+      if (!part.empty()) add_backend(part);
     }
-  }
+    return true;
+  };
+  FlagSet flags("flatnet_router");
+  flags.Repeatable("--backends", "HOST:PORT,HOST:PORT,...", add_backends)
+      // Repeatable single-address form, for scripts that build the list.
+      .Repeatable("--backend", "HOST:PORT", add_backend)
+      .Unsigned("--port", "P", &port)
+      .String("--bind", "ADDR", &bind_address)
+      .String("--port-file", "<file>", &port_file)
+      .Unsigned("--vnodes", "N", &router_options.vnodes, 1)
+      .Unsigned("--probe-interval-ms", "MS", &probe_interval_ms, 1)
+      .Unsigned("--request-timeout-ms", "MS", &request_timeout_ms, 1)
+      .Switch("--no-hedging", &router_options.hedging, false)
+      .Double("--hedge-multiplier", "X", &router_options.hedge.multiplier, 0.0)
+      .Double("--hedge-min-ms", "MS", &router_options.hedge.min_ms, 0.0)
+      .Double("--hedge-max-ms", "MS", &router_options.hedge.max_ms, 0.0)
+      .Unsigned("--max-connections", "N", &max_connections);
+  tools::ObsFlags obs_flags(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
   if (router_options.backends.empty()) {
     std::fprintf(stderr, "flatnet_router: at least one --backends address is required\n");
-    return Usage();
+    return flags.UsageError();
   }
+  router_options.probe_interval = std::chrono::milliseconds(probe_interval_ms);
+  router_options.request_timeout = std::chrono::milliseconds(request_timeout_ms);
 
   obs::RegisterCoreMetrics();
   obs::InstallCrashHandlerFromEnv();
@@ -168,7 +96,7 @@ int main(int argc, char** argv) {
 
     serve::ServerOptions server_options;
     server_options.bind_address = bind_address;
-    server_options.port = static_cast<std::uint16_t>(port);
+    server_options.port = port;
     server_options.max_connections = max_connections;
     serve::Server server(
         [&router](const std::string& line, std::function<void(std::string)> done,
@@ -193,7 +121,8 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, HandleSignal);
     std::signal(SIGINT, HandleSignal);
     {
-      obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
+      obs::MetricsFlusher flusher(obs_flags.metrics_out(),
+                                  obs::MetricsFlusher::IntervalFromEnv());
       server.Run();
     }
     g_server = nullptr;
@@ -207,10 +136,9 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.hedge_issued),
         static_cast<unsigned long long>(stats.hedge_won),
         static_cast<unsigned long long>(stats.partial_answers));
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
+    return obs_flags.Finish(0);
   } catch (const Error& e) {
     std::fprintf(stderr, "flatnet_router: %s\n", e.what());
     return 1;
   }
-  return 0;
 }

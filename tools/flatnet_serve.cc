@@ -7,15 +7,6 @@
 // SIGTERM/SIGINT drain gracefully: admitted queries finish and answer
 // before the process exits.
 //
-// Usage:
-//   flatnet_serve [--topology <stem>] [--era 2015|2020] [--ases N] [--seed S]
-//                 [--port P] [--bind ADDR] [--port-file <file>]
-//                 [--threads N] [--cache-mb MB] [--max-inflight N]
-//                 [--default-deadline-ms MS] [--sweep <file>] [--leak <file>]
-//                 [--fail <file>] [--log-level <level>] [--metrics-out <file>]
-//                 [--slow-query-ms MS] [--recorder-dump <file>]
-//                 [--shard I/N] [--max-connections N]
-//
 // Fleet membership: --shard I/N declares this process shard I of an
 // N-shard fleet (0-based). Attach then keeps only this shard's slice of
 // each store's rankings and cells under the consistent-hash ring
@@ -48,23 +39,23 @@
 // <stem>.fail).
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <optional>
+#include <string>
 
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "core/study.h"
 #include "failsim/store.h"
 #include "leaksim/store.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "obs_flags.h"
 #include "serve/server.h"
 #include "sweep/store.h"
 #include "util/error.h"
+#include "util/flags.h"
 #include "util/strings.h"
 
 using namespace flatnet;
@@ -75,21 +66,6 @@ serve::Server* g_server = nullptr;
 
 void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestShutdown();  // one atomic store
-}
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_serve [--topology <stem>] [--era 2015|2020] [--ases N] "
-               "[--seed S]\n"
-               "                     [--port P] [--bind ADDR] [--port-file <file>]\n"
-               "                     [--threads N] [--cache-mb MB] [--max-inflight N]\n"
-               "                     [--default-deadline-ms MS] [--sweep <file>] "
-               "[--leak <file>]\n"
-               "                     [--fail <file>] [--log-level <level>] "
-               "[--metrics-out <file>]\n"
-               "                     [--slow-query-ms MS] [--recorder-dump <file>]\n"
-               "                     [--shard I/N] [--max-connections N]\n");
-  return 2;
 }
 
 Internet LoadOrGenerate(const std::string& stem, const std::string& era, std::uint32_t ases,
@@ -125,6 +101,33 @@ Internet LoadOrGenerate(const std::string& stem, const std::string& era, std::ui
   return internet;
 }
 
+// Attaches a campaign store of `kind` ("sweep", "leak", "fail") with
+// `attach`, which loads `path` and hands it to the dispatcher. An explicit
+// path (`flag_path`, from --<kind>) must attach: failure is fatal and
+// returns false. Without one, <stem>.<kind> is attached when it exists,
+// and a failure (say, a store from an older topology) only warns.
+bool AttachStore(const char* kind, const char* ops_enabled, const std::string& flag_path,
+                 const std::string& stem,
+                 const std::function<void(const std::string&)>& attach) {
+  std::string path = flag_path;
+  if (path.empty() && !stem.empty()) {
+    std::string candidate = stem + "." + kind;
+    if (std::filesystem::exists(candidate)) path = candidate;
+  }
+  if (path.empty()) return true;
+  try {
+    attach(path);
+    std::fprintf(stderr, "%s store: %s (%s)\n", kind, path.c_str(), ops_enabled);
+  } catch (const Error& e) {
+    if (!flag_path.empty()) {
+      std::fprintf(stderr, "cannot attach %s store: %s\n", kind, e.what());
+      return false;
+    }
+    std::fprintf(stderr, "ignoring %s store %s: %s\n", kind, path.c_str(), e.what());
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,107 +136,55 @@ int main(int argc, char** argv) {
   std::uint32_t ases = 0;
   std::uint64_t seed = 0;
   std::string bind_address = "127.0.0.1";
-  std::uint64_t port = 0;
+  std::uint16_t port = 0;
   std::string port_file;
-  std::string metrics_out;
   std::string recorder_dump;
   std::string sweep_path;
   std::string leak_path;
   std::string fail_path;
   std::uint64_t max_connections = 0;
+  std::optional<std::uint64_t> cache_mb;
+  std::optional<std::uint64_t> default_deadline_ms;
+  std::optional<std::uint64_t> slow_query_ms;
   serve::DispatcherOptions dispatch;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *out = *parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
-    if (arg == "--topology") {
-      const char* v = next();
-      if (!v) return Usage();
-      stem = v;
-    } else if (arg == "--era") {
-      const char* v = next();
-      if (!v || (std::strcmp(v, "2015") != 0 && std::strcmp(v, "2020") != 0)) return Usage();
-      era = v;
-    } else if (arg == "--ases") {
-      if (!next_u64(&value)) return Usage();
-      ases = static_cast<std::uint32_t>(value);
-    } else if (arg == "--seed") {
-      if (!next_u64(&seed)) return Usage();
-    } else if (arg == "--port") {
-      if (!next_u64(&port) || port > 65535) return Usage();
-    } else if (arg == "--bind") {
-      const char* v = next();
-      if (!v) return Usage();
-      bind_address = v;
-    } else if (arg == "--port-file") {
-      const char* v = next();
-      if (!v) return Usage();
-      port_file = v;
-    } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.threads = value;
-    } else if (arg == "--cache-mb") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.cache_bytes = value * 1024 * 1024;
-    } else if (arg == "--max-inflight") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      dispatch.max_inflight = value;
-    } else if (arg == "--default-deadline-ms") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.default_deadline_ms = static_cast<std::int64_t>(value);
-    } else if (arg == "--slow-query-ms") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.slow_query_ms = static_cast<std::int64_t>(value);
-    } else if (arg == "--shard") {
-      // I/N, e.g. --shard 0/3: shard index / fleet size.
-      const char* v = next();
-      if (!v) return Usage();
-      const char* slash = std::strchr(v, '/');
-      if (!slash) return Usage();
-      auto index = ParseU64(std::string(v, slash));
-      auto count = ParseU64(slash + 1);
-      if (!index || !count || *count == 0 || *index >= *count) return Usage();
-      dispatch.shard_index = *index;
-      dispatch.shard_count = *count;
-    } else if (arg == "--max-connections") {
-      if (!next_u64(&max_connections)) return Usage();
-    } else if (arg == "--recorder-dump") {
-      const char* v = next();
-      if (!v) return Usage();
-      recorder_dump = v;
-    } else if (arg == "--sweep") {
-      const char* v = next();
-      if (!v) return Usage();
-      sweep_path = v;
-    } else if (arg == "--leak") {
-      const char* v = next();
-      if (!v) return Usage();
-      leak_path = v;
-    } else if (arg == "--fail") {
-      const char* v = next();
-      if (!v) return Usage();
-      fail_path = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else {
-      return Usage();
-    }
+  // I/N, e.g. --shard 0/3: shard index / fleet size.
+  auto parse_shard = [&](const std::string& v) {
+    std::size_t slash = v.find('/');
+    if (slash == std::string::npos) return false;
+    auto index = ParseU64(std::string_view(v).substr(0, slash));
+    auto count = ParseU64(std::string_view(v).substr(slash + 1));
+    if (!index || !count || *count == 0 || *index >= *count) return false;
+    dispatch.shard_index = *index;
+    dispatch.shard_count = *count;
+    return true;
+  };
+  FlagSet flags("flatnet_serve");
+  flags.String("--topology", "<stem>", &stem)
+      .Choice("--era", {"2015", "2020"}, &era)
+      .Unsigned("--ases", "N", &ases)
+      .Unsigned("--seed", "S", &seed)
+      .Unsigned("--port", "P", &port)
+      .String("--bind", "ADDR", &bind_address)
+      .String("--port-file", "<file>", &port_file)
+      .Unsigned("--threads", "N", &dispatch.threads)
+      .Unsigned("--cache-mb", "MB", &cache_mb)
+      .Unsigned("--max-inflight", "N", &dispatch.max_inflight, 1)
+      .Unsigned("--default-deadline-ms", "MS", &default_deadline_ms)
+      .String("--sweep", "<file>", &sweep_path)
+      .String("--leak", "<file>", &leak_path)
+      .String("--fail", "<file>", &fail_path)
+      .Unsigned("--slow-query-ms", "MS", &slow_query_ms)
+      .String("--recorder-dump", "<file>", &recorder_dump)
+      .Repeatable("--shard", "I/N", parse_shard)
+      .Unsigned("--max-connections", "N", &max_connections);
+  tools::ObsFlags obs_flags(flags);
+  if (int code = flags.Parse(argc, argv)) return code;
+  if (cache_mb) dispatch.cache_bytes = *cache_mb * 1024 * 1024;
+  if (default_deadline_ms) {
+    dispatch.default_deadline_ms = static_cast<std::int64_t>(*default_deadline_ms);
   }
+  if (slow_query_ms) dispatch.slow_query_ms = static_cast<std::int64_t>(*slow_query_ms);
 
   obs::RegisterCoreMetrics();
   if (!recorder_dump.empty()) {
@@ -249,70 +200,24 @@ int main(int argc, char** argv) {
 
   serve::Dispatcher dispatcher(internet, dispatch);
 
-  // Explicit --sweep must attach; an implicit <stem>.sweep is opportunistic
-  // (a store from an older topology just logs and is skipped).
-  bool explicit_sweep = !sweep_path.empty();
-  if (!explicit_sweep && !stem.empty()) {
-    std::string candidate = stem + ".sweep";
-    if (std::filesystem::exists(candidate)) sweep_path = candidate;
-  }
-  if (!sweep_path.empty()) {
-    try {
-      dispatcher.AttachSweepStore(sweep::SweepStore::Load(sweep_path), sweep_path);
-      std::fprintf(stderr, "sweep store: %s (top op enabled)\n", sweep_path.c_str());
-    } catch (const Error& e) {
-      if (explicit_sweep) {
-        std::fprintf(stderr, "cannot attach sweep store: %s\n", e.what());
-        return 1;
-      }
-      std::fprintf(stderr, "ignoring sweep store %s: %s\n", sweep_path.c_str(), e.what());
-    }
-  }
-
-  // Same contract for the leak-campaign store: explicit --leak is fatal on
-  // failure, the implicit <stem>.leak candidate is opportunistic.
-  bool explicit_leak = !leak_path.empty();
-  if (!explicit_leak && !stem.empty()) {
-    std::string candidate = stem + ".leak";
-    if (std::filesystem::exists(candidate)) leak_path = candidate;
-  }
-  if (!leak_path.empty()) {
-    try {
-      dispatcher.AttachLeakStore(leaksim::LeakStore::Load(leak_path), leak_path);
-      std::fprintf(stderr, "leak store: %s (leakdist op enabled)\n", leak_path.c_str());
-    } catch (const Error& e) {
-      if (explicit_leak) {
-        std::fprintf(stderr, "cannot attach leak store: %s\n", e.what());
-        return 1;
-      }
-      std::fprintf(stderr, "ignoring leak store %s: %s\n", leak_path.c_str(), e.what());
-    }
-  }
-
-  // And for the failure-campaign store: explicit --fail is fatal on
-  // failure, the implicit <stem>.fail candidate is opportunistic.
-  bool explicit_fail = !fail_path.empty();
-  if (!explicit_fail && !stem.empty()) {
-    std::string candidate = stem + ".fail";
-    if (std::filesystem::exists(candidate)) fail_path = candidate;
-  }
-  if (!fail_path.empty()) {
-    try {
-      dispatcher.AttachFailStore(failsim::FailStore::Load(fail_path), fail_path);
-      std::fprintf(stderr, "fail store: %s (hegemony + failure ops enabled)\n",
-                   fail_path.c_str());
-    } catch (const Error& e) {
-      if (explicit_fail) {
-        std::fprintf(stderr, "cannot attach fail store: %s\n", e.what());
-        return 1;
-      }
-      std::fprintf(stderr, "ignoring fail store %s: %s\n", fail_path.c_str(), e.what());
-    }
+  auto attach_sweep = [&](const std::string& path) {
+    dispatcher.AttachSweepStore(sweep::SweepStore::Load(path), path);
+  };
+  auto attach_leak = [&](const std::string& path) {
+    dispatcher.AttachLeakStore(leaksim::LeakStore::Load(path), path);
+  };
+  auto attach_fail = [&](const std::string& path) {
+    dispatcher.AttachFailStore(failsim::FailStore::Load(path), path);
+  };
+  if (!AttachStore("sweep", "top op enabled", sweep_path, stem, attach_sweep) ||
+      !AttachStore("leak", "leakdist op enabled", leak_path, stem, attach_leak) ||
+      !AttachStore("fail", "hegemony + failure ops enabled", fail_path, stem, attach_fail)) {
+    return 1;
   }
 
   serve::ServerOptions server_options;
   server_options.bind_address = bind_address;
-  server_options.port = static_cast<std::uint16_t>(port);
+  server_options.port = port;
   server_options.max_connections = max_connections;
   serve::Server server(dispatcher, server_options);
 
@@ -334,7 +239,8 @@ int main(int argc, char** argv) {
   {
     // Republishes --metrics-out on the FLATNET_METRICS_INTERVAL cadence
     // while the server runs; a no-op when either is unset.
-    obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
+    obs::MetricsFlusher flusher(obs_flags.metrics_out(),
+                                obs::MetricsFlusher::IntervalFromEnv());
     server.Run();
   }
   g_server = nullptr;
@@ -345,6 +251,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache.misses),
               static_cast<unsigned long long>(cache.evictions),
               static_cast<unsigned long long>(cache.entries));
-  if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-  return 0;
+  return obs_flags.Finish(0);
 }
